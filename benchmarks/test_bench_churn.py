@@ -81,7 +81,6 @@ def test_bench_churn_delta_small(benchmark):
     evolve = _evolver(network, store, seed_base=100)
     carried = benchmark.pedantic(evolve, iterations=1, rounds=3)
     assert carried  # untouched shards really were carried, not rebuilt
-    store.close()
 
 
 @pytest.mark.slow
@@ -94,7 +93,6 @@ def test_bench_churn_delta_10x(benchmark):
     evolve = _evolver(fixture.network, store, seed_base=200)
     carried = benchmark.pedantic(evolve, iterations=1, rounds=ROUNDS)
     assert carried
-    store.close()
 
 
 @pytest.mark.slow
@@ -107,10 +105,7 @@ def test_bench_churn_rebuild_10x(benchmark):
     result = fixture.network.apply_delta(delta)
 
     def rebuild():
-        store = _rebuild_from_scratch(result, seed=7)
-        n_shards = len(store.shards)
-        store.close()
-        return n_shards
+        return len(_rebuild_from_scratch(result, seed=7).shards)
 
     n_shards = benchmark.pedantic(rebuild, iterations=1, rounds=2)
     assert n_shards
@@ -165,10 +160,8 @@ def test_churn_delta_speedup_gate(capsys):
         shard_count += len(store.shards)
 
         start = time.perf_counter()
-        rebuilt = _rebuild_from_scratch(result, seed=7)
+        _rebuild_from_scratch(result, seed=7)
         rebuild_times.append(time.perf_counter() - start)
-        rebuilt.close()
-    store.close()
 
     delta_median = statistics.median(delta_times)
     rebuild_median = statistics.median(rebuild_times)

@@ -65,7 +65,6 @@ def _fleet_spec(**overrides) -> ScenarioSpec:
         churn_at=2,
         service=True,
         tenants=6,
-        service_concurrency=4,
     )
     settings.update(overrides)
     return ScenarioSpec(**settings)
@@ -111,7 +110,6 @@ def test_service_throughput_gate(capsys):
         budget=4,
         service=True,
         tenants=4,
-        service_concurrency=4,
     )
     sequential = run_sequential_fleet(fixture, spec)
     started = time.perf_counter()
@@ -148,9 +146,7 @@ def test_service_sustained_delta_stream_memory(capsys):
     def run_tenant(churn_every):
         failures = []
         with ReconciliationService() as service:
-            session = build_session(
-                fixture, spec, shard_pool=service.pool, catalog=service.catalog
-            )
+            session = build_session(fixture, spec, catalog=service.catalog)
             service.add_tenant("t0", session)
             done = 0
             while done < 50:

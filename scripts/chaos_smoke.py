@@ -202,7 +202,7 @@ def service_leg(fixture) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         victim_dir = pathlib.Path(tmp) / "victim"
-        service = ReconciliationService(concurrency=2)
+        service = ReconciliationService()
         sessions = {}
         for index, spec in enumerate(specs):
             session = build_crowd_session(fixture, spec)

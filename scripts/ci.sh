@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 CI entrypoint: byte-compile the package, import/dead-store lint,
-# the fast test profile, then the src/repro/{core,crowd,analysis,durability}
-# line-coverage floors (stdlib settrace tracer over the deterministic test
-# files — the container ships no coverage.py).
+# the fast test profile, then the
+# src/repro/{core,crowd,analysis,durability,shard,service} line-coverage
+# floors (stdlib settrace tracer over the deterministic test files — the
+# container ships no coverage.py).
 # (pytest.ini deselects the slow benchmark/experiment regenerations; run
 # `pytest -m ""` for the full matrix).
 set -euo pipefail

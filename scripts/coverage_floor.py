@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Line-coverage floor for ``src/repro/{core,crowd,analysis,durability}``
-— stdlib only.
+"""Line-coverage floor for
+``src/repro/{core,crowd,analysis,durability,shard,service}`` — stdlib only.
 
 The container ships no ``coverage``/``pytest-cov``, so this script measures
 line coverage with a ``sys.settrace`` tracer that activates only for frames
@@ -24,7 +24,6 @@ import argparse
 import os
 import pathlib
 import sys
-import threading
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -61,11 +60,9 @@ TEST_FILES = [
     "tests/test_scenario_prune.py",
     "tests/test_durability.py",
     "tests/test_chaos.py",
-    "tests/test_multichain_walk.py",
     "tests/test_shard_equivalence.py",
     "tests/test_delta.py",
     "tests/test_delta_equivalence.py",
-    "tests/test_shard_pool.py",
     "tests/test_service.py",
 ]
 
@@ -114,7 +111,6 @@ def main(argv: list[str]) -> int:
     os.chdir(ROOT)
     import pytest
 
-    threading.settrace(_tracer)
     sys.settrace(_tracer)
     try:
         exit_code = pytest.main(
@@ -122,7 +118,6 @@ def main(argv: list[str]) -> int:
         )
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     if exit_code:
         print("coverage_floor: test run failed, not reporting coverage")
         return int(exit_code)

@@ -505,20 +505,6 @@ class ConstraintEngine:
                 )
 
     # ------------------------------------------------------------------
-    # Pickling (the shard layer ships engines to process-pool workers)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        # MappingProxyType cannot be pickled; ship the plain dict and
-        # re-wrap it on the receiving side.
-        state["index_of"] = dict(self.index_of)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        state["index_of"] = MappingProxyType(state["index_of"])
-        self.__dict__.update(state)
-
-    # ------------------------------------------------------------------
     # Index-space compilation
     # ------------------------------------------------------------------
     def _compile_index_space(self) -> None:

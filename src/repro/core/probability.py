@@ -237,7 +237,6 @@ class SampledEstimator(ProbabilityEstimator):
             walk_steps=old.sampler.walk_steps,
             rng=old.sampler.rng,
             restart_probability=old.sampler.restart_probability,
-            chains=old.sampler.chains,
         )
         state = {
             "sample_masks": [],

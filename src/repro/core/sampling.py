@@ -76,24 +76,15 @@ class InstanceSampler:
         walk_steps: int = 5,
         rng: Optional[random.Random] = None,
         restart_probability: float = 0.15,
-        chains: int = 1,
     ):
         if walk_steps < 1:
             raise ValueError("walk_steps must be at least 1")
         if not 0.0 <= restart_probability <= 1.0:
             raise ValueError("restart_probability must lie in [0, 1]")
-        if chains < 1:
-            raise ValueError("chains must be at least 1")
         self.network = network
         self.walk_steps = walk_steps
         self.rng = rng or random.Random()
         self.restart_probability = restart_probability
-        #: How many independent walk chains a refill advances.  ``1`` (the
-        #: default) is the pinned single-chain reference stream; larger
-        #: values route :meth:`sample_masks` through
-        #: :meth:`walk_states_batch`, whose per-chain streams are derived
-        #: from ``rng`` per call (so checkpointing ``rng`` captures them).
-        self.chains = chains
         # Emission permutations come from a numpy generator (C-level
         # shuffles), seeded off the walk rng so a seeded sampler stays fully
         # deterministic while the two streams remain independent.
@@ -173,132 +164,6 @@ class InstanceSampler:
             states.append(current)
         return states, allowed
 
-    def spawn_chain_rngs(self, chains: int) -> list[random.Random]:
-        """Derive ``chains`` independent walk streams from the sampler rng.
-
-        One 64-bit seed is drawn per chain, in chain order, so the derived
-        streams are a pure function of the sampler rng's position: a
-        checkpoint of ``rng`` alone replays the exact same chain streams,
-        and a parity test can reconstruct chain ``c``'s stream by re-seeding
-        ``random.Random`` with the ``c``-th draw.
-        """
-        return [random.Random(self.rng.getrandbits(64)) for _ in range(chains)]
-
-    def walk_states_batch(
-        self,
-        n_samples: int,
-        feedback: Optional[Feedback] = None,
-        chains: Optional[int] = None,
-        rngs: Optional[Sequence[random.Random]] = None,
-    ) -> tuple[list[list[int]], int]:
-        """Advance ``chains`` independent walks in lockstep; collect states.
-
-        The multi-chain counterpart of :meth:`walk_states` (which stays the
-        pinned single-chain reference): ``n_samples`` walk iterations are
-        split across ``chains`` independent chains (chain ``c`` runs
-        ``n_samples // chains`` rounds, the first ``n_samples % chains``
-        chains one more) and all chains advance *simultaneously*, one walk
-        step per chain per wave, sharing the engine's mask-space layout —
-        the batch of pre-emission states then feeds one
-        :func:`~repro.core.repair.wave_maximalize_batch` call instead of
-        ``chains`` sequential emission scans.
-
-        Each chain owns a :class:`random.Random` stream (``rngs``, or
-        streams derived via :meth:`spawn_chain_rngs`; with ``chains=1`` the
-        sampler rng itself), and a chain's draws depend only on its own
-        stream and state, so the lockstep schedule is bit-for-bit the
-        sequential one: ``chains=1`` consumes the sampler rng exactly like
-        :meth:`walk_states`, and chain ``c`` of a ``chains=C`` run emits
-        exactly the states a single-chain sampler seeded with stream ``c``
-        would.  Returns the per-chain state lists plus the shared
-        ``allowed`` mask.
-        """
-        if chains is None:
-            chains = len(rngs) if rngs is not None else self.chains
-        if chains < 1:
-            raise ValueError("chains must be at least 1")
-        if rngs is None:
-            rngs = [self.rng] if chains == 1 else self.spawn_chain_rngs(chains)
-        elif len(rngs) != chains:
-            raise ValueError(f"expected {chains} chain rngs, got {len(rngs)}")
-        feedback = feedback or Feedback()
-        engine = self.network.engine
-        walk_steps = self.walk_steps
-        restart_probability = self.restart_probability
-        approved = engine.mask_of(feedback.approved)
-        allowed = engine.full_mask & ~engine.mask_of(feedback.disapproved)
-        exp = math.exp
-        n = engine.n
-        bits = engine.bits
-        rounds = [
-            n_samples // chains + (1 if c < n_samples % chains else 0)
-            for c in range(chains)
-        ]
-        floats = [rng.random for rng in rngs]
-        current = [approved] * chains
-        states: list[list[int]] = [[] for _ in range(chains)]
-        for round_index in range(rounds[0] if chains else 0):
-            active = [c for c in range(chains) if round_index < rounds[c]]
-            for c in active:
-                if current[c] != approved and floats[c]() < restart_probability:
-                    current[c] = approved
-            live = active
-            for _ in range(walk_steps):
-                advancing: list[int] = []
-                for c in live:
-                    cur = current[c]
-                    avail = allowed & ~cur
-                    if not avail:
-                        # This chain's availability is spent for the round;
-                        # it rejoins at the next restart draw.
-                        continue
-                    random_float = floats[c]
-                    rng = rngs[c]
-                    for _ in range(4):
-                        index = int(random_float() * n)
-                        if avail & bits[index]:
-                            break
-                    else:
-                        index = kth_set_bit(
-                            avail, rng.randrange(avail.bit_count())
-                        )
-                    proposal = repair_mask(engine, cur, index, approved, rng=rng)
-                    distance = (cur ^ proposal).bit_count()
-                    if random_float() < 1.0 - exp(-distance):
-                        current[c] = proposal
-                    advancing.append(c)
-                live = advancing
-                if not live:
-                    break
-            for c in active:
-                states[c].append(current[c])
-        return states, allowed
-
-    def sample_masks_batch(
-        self,
-        n_samples: int,
-        feedback: Optional[Feedback] = None,
-        chains: Optional[int] = None,
-    ) -> list[int]:
-        """Multi-chain :meth:`sample_masks`: C lockstep chains, one emission.
-
-        The chains' pre-emission states are concatenated chain-major and the
-        whole batch is maximalised by a single priority-wave call (one
-        ``np_rng`` priority matrix for the refill, exactly like the
-        single-chain path), then deduplicated in that order.  With
-        ``chains=1`` this is bit-for-bit :meth:`sample_masks`.
-        """
-        states, allowed = self.walk_states_batch(
-            n_samples, feedback, chains=chains
-        )
-        flat = [state for chain_states in states for state in chain_states]
-        discovered: dict[int, None] = {}
-        for maximal in wave_maximalize_batch(
-            self.network.engine, flat, allowed, np_rng=self.np_rng
-        ):
-            discovered[maximal] = None
-        return list(discovered)
-
     def sample_masks(
         self, n_samples: int, feedback: Optional[Feedback] = None
     ) -> list[int]:
@@ -309,12 +174,8 @@ class InstanceSampler:
         whole batch of walk states is maximalised at once by the priority-
         wave kernel (uniform per-emission priorities from ``np_rng`` — the
         same emission distribution as the historical per-instance
-        permutation scan, decided in a few numpy waves).  A sampler built
-        with ``chains > 1`` collects the states from that many lockstep
-        chains (:meth:`walk_states_batch`) instead of one sequential walk.
+        permutation scan, decided in a few numpy waves).
         """
-        if self.chains > 1:
-            return self.sample_masks_batch(n_samples, feedback)
         states, allowed = self.walk_states(n_samples, feedback)
         discovered: dict[int, None] = {}
         for maximal in wave_maximalize_batch(

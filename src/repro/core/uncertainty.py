@@ -142,25 +142,6 @@ def sample_matrix(
     return matrix
 
 
-def _entropy_of_frequencies(frequencies: np.ndarray) -> float:
-    """Σ H_b(p) over a frequency vector, vectorised."""
-    p = np.clip(frequencies, 0.0, 1.0)
-    interior = (p > 0.0) & (p < 1.0)
-    q = p[interior]
-    if q.size == 0:
-        return 0.0
-    return float(-(q * np.log2(q) + (1.0 - q) * np.log2(1.0 - q)).sum())
-
-
-def _entropy_rows(probabilities: np.ndarray) -> np.ndarray:
-    """Row-wise Σ H_b(p): one conditional network entropy per row."""
-    q = np.clip(probabilities, 0.0, 1.0)
-    interior = (q > 0.0) & (q < 1.0)
-    safe = np.where(interior, q, 0.5)
-    h = -(safe * np.log2(safe) + (1.0 - safe) * np.log2(1.0 - safe))
-    return np.where(interior, h, 0.0).sum(axis=1)
-
-
 #: Cache for :func:`_entropy_table`: denominator → H_b(k/d) lookup vector.
 _ENTROPY_TABLES: dict[int, np.ndarray] = {}
 

@@ -119,10 +119,10 @@ def _corrs_from_list(entries, schemas) -> list[Correspondence]:
 def _detached_corr(entry: dict) -> Correspondence:
     """A correspondence resolved without consulting the network's schemas.
 
-    Ground truths and memoised oracle verdicts may reference schemas a
-    later network delta removed; attribute identity is the ``(schema,
-    name)`` pair, so detached attributes compare equal to live ones
-    wherever both exist.
+    Ground truths, memoised oracle verdicts and trace history may
+    reference schemas a later network delta removed; attribute identity
+    is the ``(schema, name)`` pair, so detached attributes compare equal
+    to live ones wherever both exist.
     """
     return corr_factory(
         Attribute(schema=entry["source"]["schema"], name=entry["source"]["name"]),
@@ -197,10 +197,8 @@ def _pnet_to_dict(pnet: ProbabilisticNetwork) -> dict:
                 "min_samples": store.min_samples,
                 "walk_steps": store.walk_steps,
                 "restart_probability": store.restart_probability,
-                "chains": store.chains,
                 "max_shards": store.max_shards,
                 "enumerate_limit": store.enumerate_limit,
-                "parallel": store.parallel,
             },
             "approved": _corrs_to_list(store.feedback.approved),
             "disapproved": _corrs_to_list(store.feedback.disapproved),
@@ -226,10 +224,25 @@ def _pnet_to_dict(pnet: ProbabilisticNetwork) -> dict:
         "sampler": {
             "walk_steps": store.sampler.walk_steps,
             "restart_probability": store.sampler.restart_probability,
-            "chains": store.sampler.chains,
             "state": store.sampler.get_state(),
         },
     }
+
+
+def _check_single_chain(config: dict, where: str) -> None:
+    """Refuse a multi-chain sampler document; absent or 1 restores.
+
+    Older checkpoints carry a ``chains`` count (and sharded ones a
+    ``parallel`` worker count, which never changed results and is
+    ignored).  Only single-chain walks remain, so a document recorded
+    with several chains cannot continue its streams.
+    """
+    chains = config.get("chains", 1)
+    if chains != 1:
+        raise FormatError(
+            f"{where}.chains is {chains!r}: only single-chain sampler "
+            "checkpoints can be restored"
+        )
 
 
 def _sampler_state_from_json(state: dict) -> dict:
@@ -242,6 +255,7 @@ def _sampler_state_from_json(state: dict) -> dict:
 def _sharded_pnet_from_dict(document: dict, network) -> ProbabilisticNetwork:
     schemas = {schema.name: schema for schema in network.schemas}
     config = document["config"]
+    _check_single_chain(config, "pnet.config")
     state = {
         "approved": _corrs_from_list(document["approved"], schemas),
         "disapproved": _corrs_from_list(document["disapproved"], schemas),
@@ -262,10 +276,8 @@ def _sharded_pnet_from_dict(document: dict, network) -> ProbabilisticNetwork:
         min_samples=config["min_samples"],
         walk_steps=config["walk_steps"],
         restart_probability=config["restart_probability"],
-        chains=config["chains"],
         max_shards=config["max_shards"],
         enumerate_limit=config["enumerate_limit"],
-        parallel=config["parallel"],
     )
     return ProbabilisticNetwork(
         network, estimator=ShardedEstimator.from_store(store)
@@ -280,13 +292,11 @@ def _pnet_from_dict(document: dict, network) -> ProbabilisticNetwork:
         raise FormatError(f"unknown estimator kind {kind!r}")
     schemas = {schema.name: schema for schema in network.schemas}
     sampler_doc = document["sampler"]
+    _check_single_chain(sampler_doc, "pnet.sampler")
     sampler = InstanceSampler(
         network,
         walk_steps=sampler_doc["walk_steps"],
         restart_probability=sampler_doc["restart_probability"],
-        # Checkpoints written before multi-chain sampling carry no chain
-        # count; they were single-chain by construction.
-        chains=sampler_doc.get("chains", 1),
     )
     sampler.set_state(sampler_doc["state"])
     store = SampleStore.from_state(
@@ -384,13 +394,10 @@ def _crowd_round_to_dict(record: CrowdRound) -> dict:
     }
 
 
-def _crowd_round_from_dict(document: dict, schemas) -> CrowdRound:
+def _crowd_round_from_dict(document: dict) -> CrowdRound:
     return CrowdRound(
         index=document["index"],
-        questions=tuple(
-            correspondence_from_dict(entry, schemas)
-            for entry in document["questions"]
-        ),
+        questions=tuple(map(_detached_corr, document["questions"])),
         verdicts=tuple(bool(v) for v in document["verdicts"]),
         votes=tuple(
             tuple((worker_id, bool(verdict)) for worker_id, verdict in votes)
@@ -405,10 +412,7 @@ def _crowd_round_from_dict(document: dict, schemas) -> CrowdRound:
         effort=document["effort"],
         timeouts=document["timeouts"],
         dropouts=document["dropouts"],
-        unanswered=tuple(
-            correspondence_from_dict(entry, schemas)
-            for entry in document["unanswered"]
-        ),
+        unanswered=tuple(map(_detached_corr, document["unanswered"])),
         degraded=document["degraded"],
         latency=document["latency"],
         shock=document["shock"],
@@ -529,10 +533,7 @@ def _crowd_session_from_dict(document: dict) -> CrowdSession:
     trace_doc = document["trace"]
     session.trace = CrowdTrace(
         initial_uncertainty=trace_doc["initial_uncertainty"],
-        rounds=[
-            _crowd_round_from_dict(entry, schemas)
-            for entry in trace_doc["rounds"]
-        ],
+        rounds=[_crowd_round_from_dict(entry) for entry in trace_doc["rounds"]],
     )
     return session
 
@@ -603,7 +604,6 @@ def _expert_session_to_dict(session: ReconciliationSession) -> dict:
 
 def _expert_session_from_dict(document: dict) -> ReconciliationSession:
     network = network_from_dict(document["network"])
-    schemas = {schema.name: schema for schema in network.schemas}
     pnet = _pnet_from_dict(document["pnet"], network)
     strategy_doc = document["strategy"]
     strategy_cls = _STRATEGIES[strategy_doc["name"]]
@@ -643,9 +643,7 @@ def _expert_session_from_dict(document: dict) -> ReconciliationSession:
         steps=[
             ReconciliationStep(
                 index=entry["index"],
-                correspondence=correspondence_from_dict(
-                    entry["corr"], schemas
-                ),
+                correspondence=_detached_corr(entry["corr"]),
                 approved=entry["approved"],
                 uncertainty=entry["uncertainty"],
                 effort=entry["effort"],
@@ -695,10 +693,16 @@ def save_checkpoint(
     new one — never a torn file.
     """
     path = pathlib.Path(path)
-    document = checkpoint_to_dict(session)
+    # One ``dumps`` call runs json's C encoder; streaming ``dump`` runs
+    # the pure-Python one, several times slower on the same bytes.  The
+    # service runs commands on its event loop, so a checkpoint's encode
+    # time delays every tenant's next command.
+    text = json.dumps(
+        checkpoint_to_dict(session), sort_keys=True, default=_json_default
+    )
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w") as handle:
-        json.dump(document, handle, sort_keys=True, default=_json_default)
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)

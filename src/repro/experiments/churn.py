@@ -185,7 +185,6 @@ def run(
             max_shards=max_shards,
         )
         rebuild_elapsed = time.perf_counter() - started
-        store.close()
         result.add_row(
             fraction,
             len(delta_result.removed_indices),

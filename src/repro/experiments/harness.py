@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..core.correspondence import CandidateSet, Correspondence, correspondence
 from ..core.feedback import Oracle
@@ -216,14 +216,3 @@ def conflicted_subnetwork(
         chosen_set.add(corr)
     return network.restricted_to(chosen)
 
-
-def average_rows(rows_per_run: Sequence[Sequence[Sequence[float]]]) -> list[list[float]]:
-    """Average aligned numeric row sets across runs (same shape required)."""
-    if not rows_per_run:
-        return []
-    n_rows = len(rows_per_run[0])
-    averaged: list[list[float]] = []
-    for row_index in range(n_rows):
-        cells = zip(*(run[row_index] for run in rows_per_run))
-        averaged.append([sum(values) / len(values) for values in cells])
-    return averaged

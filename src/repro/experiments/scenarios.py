@@ -131,12 +131,6 @@ class ScenarioSpec:
     #: Cap the shard count (components are bin-packed); None = one shard
     #: per violation-graph component.
     max_shards: Optional[int] = None
-    #: Fan shard refills across this many worker processes; None/1 runs
-    #: them sequentially (bit-identical either way).
-    shard_parallel: Optional[int] = None
-    #: Walk chains advanced per shard refill (>1 routes through the
-    #: lockstep multi-chain walk).
-    shard_chains: int = 1
     # Churn fields (repro.experiments.churn / repro.core.delta).
     #: Apply a schema-churn delta after this many expert steps; ``None``
     #: (default) runs over a static network.
@@ -152,9 +146,6 @@ class ScenarioSpec:
     #: How many tenant sessions the service multiplexes; tenant *i* runs
     #: the same spec reseeded with ``seed + 100·i``.
     tenants: int = 4
-    #: Commands executing simultaneously across tenants (the scheduler's
-    #: executor-slot cap; per-tenant order is always preserved).
-    service_concurrency: int = 2
     #: Fairness policy: "round-robin" or "deficit" (weighted DRR).
     service_policy: str = "round-robin"
     #: Bound on each tenant's pending-command queue (backpressure).
@@ -162,10 +153,6 @@ class ScenarioSpec:
     #: Full-queue behaviour: "wait" suspends submitters, "reject" raises
     #: :class:`~repro.service.scheduler.AdmissionError`.
     service_admission: str = "wait"
-    #: Spin up a shared :class:`~repro.shard.ShardWorkerPool` with this
-    #: many workers and hand it to every tenant's sharded store; None
-    #: keeps refills sequential (the single-core default).
-    service_workers: Optional[int] = None
 
     @property
     def label(self) -> str:
@@ -253,20 +240,27 @@ def prepare_fixture(
     return fixture
 
 
+def _check_shard_pool(shard_pool) -> None:
+    """Refuse a worker pool: shard refills have one sequential path."""
+    if shard_pool is not None:
+        raise TypeError(
+            "shard_pool must be None: shard refills always run sequentially"
+        )
+
+
 def _build_pnet(
     fixture: NetworkFixture,
     spec: ScenarioSpec,
-    shard_pool=None,
     catalog=None,
 ) -> ProbabilisticNetwork:
     """The probabilistic network of a spec — sharded or whole-network.
 
     Both estimators sample with ``Random(seed)``; the sharded one derives
     one independent stream per shard from it (in shard order), so the
-    whole decomposition is a pure function of the spec.  ``shard_pool``
-    and ``catalog`` thread the service's shared worker pool and artefact
-    cache into a sharded store — both are bit-identity-preserving, so
-    specs build the same sessions with or without them.
+    whole decomposition is a pure function of the spec.  ``catalog``
+    threads the service's shared artefact cache into a sharded store —
+    it is bit-identity-preserving, so specs build the same sessions with
+    or without it.
     """
     if spec.sharded:
         from ..shard import ShardedEstimator
@@ -277,10 +271,7 @@ def _build_pnet(
                 fixture.network,
                 target_samples=spec.target_samples,
                 rng=random.Random(spec.seed),
-                chains=spec.shard_chains,
                 max_shards=spec.max_shards,
-                parallel=spec.shard_parallel,
-                pool=shard_pool,
                 catalog=catalog,
             ),
         )
@@ -296,7 +287,7 @@ def build_crowd_session(
     spec: ScenarioSpec,
     pool: Optional[WorkerPool] = None,
     *,
-    shard_pool=None,
+    shard_pool=None,  # kept for perfbench/workloads.py; only None is valid
     catalog=None,
 ) -> CrowdSession:
     """Assemble the crowd session of an ``oracle="crowd"`` spec.
@@ -306,8 +297,9 @@ def build_crowd_session(
     ``Random(seed + 1)``, and the pool's per-worker answer streams derive
     from ``seed + 2`` (see :meth:`WorkerPool.from_distribution`).
     """
+    _check_shard_pool(shard_pool)
     fixture = prepare_fixture(fixture, spec)
-    pnet = _build_pnet(fixture, spec, shard_pool=shard_pool, catalog=catalog)
+    pnet = _build_pnet(fixture, spec, catalog=catalog)
     if pool is None:
         pool = WorkerPool.from_distribution(
             fixture.ground_truth,
@@ -338,12 +330,13 @@ def build_session(
     spec: ScenarioSpec,
     oracle: Optional[Oracle] = None,
     *,
-    shard_pool=None,
+    shard_pool=None,  # kept for perfbench/workloads.py; only None is valid
     catalog=None,
 ) -> ReconciliationSession:
     """Assemble the probabilistic network, strategy and oracle of a spec."""
+    _check_shard_pool(shard_pool)
     fixture = prepare_fixture(fixture, spec)
-    pnet = _build_pnet(fixture, spec, shard_pool=shard_pool, catalog=catalog)
+    pnet = _build_pnet(fixture, spec, catalog=catalog)
     strategy = make_strategy(spec.strategy, random.Random(spec.seed + 1))
     return ReconciliationSession(
         pnet,
@@ -489,7 +482,7 @@ class ServiceScenarioResult:
 
     outcomes: list[ScenarioOutcome]
     #: ``ReconciliationService.stats()`` at drain time — per-tenant queue
-    #: and latency counters plus catalog/pool hit rates.
+    #: and latency counters plus catalog hit counts.
     stats: dict
 
 
@@ -547,9 +540,9 @@ def run_service_scenario(
     """Multiplex ``spec.tenants`` reseeded sessions through one service.
 
     Every tenant runs :func:`tenant_program` concurrently over the shared
-    catalog (and worker pool, with ``service_workers``); the determinism
-    contract makes each tenant's outcome bit-identical to running its
-    spec alone, which ``tests/test_service_equivalence.py`` pins.  With
+    catalog; the determinism contract makes each tenant's outcome
+    bit-identical to running its spec alone, which
+    ``tests/test_service_equivalence.py`` pins.  With
     ``checkpoint_dir`` each tenant journals under its own subdirectory,
     recoverable via :func:`repro.durability.recover`.
     """
@@ -561,8 +554,6 @@ def run_service_scenario(
         raise ValueError("tenants must be positive")
     specs = tenant_specs(spec)
     service = ReconciliationService(
-        workers=spec.service_workers,
-        concurrency=spec.service_concurrency,
         policy=spec.service_policy,
         max_pending=spec.service_max_pending,
         admission=spec.service_admission,
@@ -579,17 +570,11 @@ def run_service_scenario(
             name = tenant_spec.name
             if tenant_spec.oracle == "crowd":
                 session = build_crowd_session(
-                    fixture,
-                    tenant_spec,
-                    shard_pool=service.pool,
-                    catalog=service.catalog,
+                    fixture, tenant_spec, catalog=service.catalog
                 )
             else:
                 session = build_session(
-                    fixture,
-                    tenant_spec,
-                    shard_pool=service.pool,
-                    catalog=service.catalog,
+                    fixture, tenant_spec, catalog=service.catalog
                 )
             checkpoint_dir = (
                 f"{spec.checkpoint_dir}/{name.replace('/', '_')}"

@@ -53,9 +53,6 @@ def run_sequential_fleet(fixture, spec: ScenarioSpec) -> float:
                 session.step()
             elif command["op"] == "apply_delta":
                 session.apply_delta(command["delta"])
-        store = getattr(session.pnet.estimator, "store", None)
-        if store is not None and hasattr(store, "close"):
-            store.close()
     return time.perf_counter() - started
 
 
@@ -69,7 +66,6 @@ def run(
     budget: int = 6,
     churn_at: Optional[int] = 3,
     policy: str = "round-robin",
-    concurrency: int = 4,
     seed: int = 7,
 ) -> ExperimentResult:
     """Service vs. naive-sequential fleets across fleet sizes."""
@@ -100,7 +96,7 @@ def run(
             f"|S|={n_schemas}, target_samples={target_samples}, "
             f"{budget} steps/tenant"
             + (f" with a churn delta at step {churn_at}" if churn_at else "")
-            + f"; policy={policy}, concurrency={concurrency}; per-tenant "
+            + f"; policy={policy}; per-tenant "
             "traces are bit-identical between the two columns — only the "
             "shared-artefact reuse differs"
         ),
@@ -116,7 +112,6 @@ def run(
             service=True,
             tenants=tenants,
             service_policy=policy,
-            service_concurrency=concurrency,
         )
         sequential = run_sequential_fleet(fixture, spec)
         started = time.perf_counter()

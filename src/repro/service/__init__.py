@@ -1,4 +1,4 @@
-"""Multi-tenant reconciliation service: shared pools, fair scheduling.
+"""Multi-tenant reconciliation service: shared artefacts, fair scheduling.
 
 The online half of the pay-as-you-go story: instead of one offline
 session per run, :class:`ReconciliationService` interleaves many named
@@ -18,7 +18,6 @@ of N tenants is bit-identical, per tenant, to running that tenant's
 commands alone (``tests/test_service_equivalence.py``).
 """
 
-from ..shard.pool import PoolClosedError, ShardWorkerPool
 from .catalog import ShardCatalog
 from .metrics import ServiceMetrics, TenantMetrics
 from .registry import SessionRegistry, Tenant
@@ -27,14 +26,12 @@ from .service import ReconciliationService
 
 __all__ = [
     "AdmissionError",
-    "PoolClosedError",
     "ReconciliationService",
     "RequestScheduler",
     "SchedulerClosedError",
     "ServiceMetrics",
     "SessionRegistry",
     "ShardCatalog",
-    "ShardWorkerPool",
     "Tenant",
     "TenantMetrics",
 ]

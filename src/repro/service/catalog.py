@@ -27,15 +27,13 @@ dependent sub-network, fill and delta result with it, bounding memory.
 the key is live, so the id-keyed lookup cannot alias a recycled
 address.)
 
-All methods are lock-guarded — service tenants call in from multiple
-executor threads.  The shard layer consumes this duck-typed (see
-``ShardedSampleStore``); nothing here imports the shard layer at module
-scope, so there is no cycle.
+The shard layer consumes this duck-typed (see ``ShardedSampleStore``);
+nothing here imports the shard layer at module scope, so there is no
+cycle.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Callable, Optional
 
@@ -81,7 +79,6 @@ class ShardCatalog:
             raise ValueError("max_networks must be positive")
         self.max_networks = max_networks
         self._generations: "OrderedDict[int, _Generation]" = OrderedDict()
-        self._lock = threading.Lock()
         self.subnet_hits = 0
         self.subnet_misses = 0
         self.fill_hits = 0
@@ -90,7 +87,7 @@ class ShardCatalog:
         self.delta_misses = 0
 
     def _generation(self, network) -> _Generation:
-        """The (possibly new) generation entry for ``network``; locked."""
+        """The (possibly new) generation entry for ``network``."""
         key = id(network)
         generation = self._generations.get(key)
         if generation is None:
@@ -112,37 +109,31 @@ class ShardCatalog:
         *own* feedback, never the network), so every tenant can hold the
         same object.
         """
-        with self._lock:
-            generation = self._generation(network)
-            cached = generation.subnets.get(indices)
-            if cached is not None:
-                self.subnet_hits += 1
-                return cached
-            self.subnet_misses += 1
-        built = build()
-        with self._lock:
-            generation = self._generation(network)
-            return generation.subnets.setdefault(indices, built)
+        generation = self._generation(network)
+        cached = generation.subnets.get(indices)
+        if cached is not None:
+            self.subnet_hits += 1
+            return cached
+        self.subnet_misses += 1
+        built = generation.subnets[indices] = build()
+        return built
 
     # ------------------------------------------------------------------
     # Enumerated initial fills
     # ------------------------------------------------------------------
     def enumerated_fill(self, network, key: tuple) -> Optional[dict]:
         """A copy of the cached unconditioned fill state, if published."""
-        with self._lock:
-            generation = self._generation(network)
-            state = generation.fills.get(key)
-            if state is None:
-                self.fill_misses += 1
-                return None
-            self.fill_hits += 1
-            return _copy_store_state(state)
+        state = self._generation(network).fills.get(key)
+        if state is None:
+            self.fill_misses += 1
+            return None
+        self.fill_hits += 1
+        return _copy_store_state(state)
 
     def put_enumerated_fill(self, network, key: tuple, state: dict) -> None:
-        with self._lock:
-            generation = self._generation(network)
-            if key not in generation.fills:
-                generation.fills[key] = _copy_store_state(state)
+        fills = self._generation(network).fills
+        if key not in fills:
+            fills[key] = _copy_store_state(state)
 
     # ------------------------------------------------------------------
     # Delta results
@@ -154,39 +145,29 @@ class ShardCatalog:
         incremental recompile; every other tenant adopts the *same*
         result object — and therefore the same successor network, which
         keeps the whole fleet in one catalog generation instead of N.
-
-        Unlike sub-network builds, ``compute`` runs *under* the lock:
-        deltas are rare and expensive, and a fleet applying the same
-        delta concurrently should block behind one recompile and then
-        hit, not burn N-1 duplicate compiles (``compute`` must therefore
-        never call back into the catalog).
         """
-        with self._lock:
-            generation = self._generation(network)
-            cached = generation.deltas.get(delta)
-            if cached is not None:
-                self.delta_hits += 1
-                return cached
-            self.delta_misses += 1
-            result = compute()
-            generation.deltas[delta] = result
-            # Pre-register the successor so tenants touching it next do
-            # not race the LRU into evicting the generation their shards
-            # are being rebuilt against.
-            self._generation(result.network)
-            return result
+        generation = self._generation(network)
+        cached = generation.deltas.get(delta)
+        if cached is not None:
+            self.delta_hits += 1
+            return cached
+        self.delta_misses += 1
+        result = generation.deltas[delta] = compute()
+        # Register the successor as the newest generation: every tenant
+        # on ``network`` moves to it next.
+        self._generation(result.network)
+        return result
 
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "networks": len(self._generations),
-                "subnet_hits": self.subnet_hits,
-                "subnet_misses": self.subnet_misses,
-                "fill_hits": self.fill_hits,
-                "fill_misses": self.fill_misses,
-                "delta_hits": self.delta_hits,
-                "delta_misses": self.delta_misses,
-            }
+        return {
+            "networks": len(self._generations),
+            "subnet_hits": self.subnet_hits,
+            "subnet_misses": self.subnet_misses,
+            "fill_hits": self.fill_hits,
+            "fill_misses": self.fill_misses,
+            "delta_hits": self.delta_hits,
+            "delta_misses": self.delta_misses,
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShardCatalog({len(self._generations)} network generations)"

@@ -3,13 +3,10 @@
 Metrics are strictly *observational* — nothing in the serving path reads
 them back, so wall-clock jitter in the latency sums can never leak into
 a tenant's trace (the determinism contract stays with the sessions).
-Thread-safe: scheduler callbacks fire from the event loop and executor
-threads alike.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 
 __all__ = ["ServiceMetrics", "TenantMetrics"]
@@ -68,50 +65,43 @@ class ServiceMetrics:
 
     def __init__(self):
         self._tenants: dict[str, TenantMetrics] = {}
-        self._lock = threading.Lock()
 
     def tenant(self, name: str) -> TenantMetrics:
-        with self._lock:
-            metrics = self._tenants.get(name)
-            if metrics is None:
-                metrics = self._tenants[name] = TenantMetrics()
-            return metrics
+        metrics = self._tenants.get(name)
+        if metrics is None:
+            metrics = self._tenants[name] = TenantMetrics()
+        return metrics
 
     def record_enqueue(self, name: str, depth: int) -> None:
-        with self._lock:
-            metrics = self._tenants.setdefault(name, TenantMetrics())
-            metrics.enqueued += 1
-            metrics.queue_depth = depth
-            metrics.max_queue_depth = max(metrics.max_queue_depth, depth)
+        metrics = self.tenant(name)
+        metrics.enqueued += 1
+        metrics.queue_depth = depth
+        metrics.max_queue_depth = max(metrics.max_queue_depth, depth)
 
     def record_rejected(self, name: str) -> None:
-        with self._lock:
-            self._tenants.setdefault(name, TenantMetrics()).rejected += 1
+        self.tenant(name).rejected += 1
 
     def record_start(self, name: str, waited: float, depth: int) -> None:
-        with self._lock:
-            metrics = self._tenants.setdefault(name, TenantMetrics())
-            metrics.wait_seconds += waited
-            metrics.queue_depth = depth
+        metrics = self.tenant(name)
+        metrics.wait_seconds += waited
+        metrics.queue_depth = depth
 
     def record_done(
         self, name: str, op: str, elapsed: float, *, failed: bool = False
     ) -> None:
-        with self._lock:
-            metrics = self._tenants.setdefault(name, TenantMetrics())
-            metrics.serve_seconds += elapsed
-            metrics.commands[op] += 1
-            if failed:
-                metrics.failed += 1
-            else:
-                metrics.served += 1
-            if op in ("apply_delta", "rescore") and not failed:
-                metrics.deltas_applied += 1
+        metrics = self.tenant(name)
+        metrics.serve_seconds += elapsed
+        metrics.commands[op] += 1
+        if failed:
+            metrics.failed += 1
+        else:
+            metrics.served += 1
+        if op in ("apply_delta", "rescore") and not failed:
+            metrics.deltas_applied += 1
 
     def snapshot(self) -> dict:
         """Plain-data view of every tenant's counters (for reports)."""
-        with self._lock:
-            return {
-                name: metrics.to_dict()
-                for name, metrics in sorted(self._tenants.items())
-            }
+        return {
+            name: metrics.to_dict()
+            for name, metrics in sorted(self._tenants.items())
+        }

@@ -10,7 +10,6 @@ name → tenant map plus the durability bookkeeping each tenant needs
 from __future__ import annotations
 
 import pathlib
-import threading
 from typing import Optional
 
 __all__ = ["SessionRegistry", "Tenant"]
@@ -51,11 +50,10 @@ class Tenant:
 
 
 class SessionRegistry:
-    """Thread-safe name → :class:`Tenant` map."""
+    """Name → :class:`Tenant` map."""
 
     def __init__(self):
         self._tenants: dict[str, Tenant] = {}
-        self._lock = threading.Lock()
 
     def register(
         self,
@@ -81,39 +79,32 @@ class SessionRegistry:
         tenant = Tenant(
             name, session, kind, weight, directory, checkpoint_every
         )
-        with self._lock:
-            if name in self._tenants:
-                raise ValueError(f"tenant {name!r} is already registered")
-            self._tenants[name] = tenant
+        if name in self._tenants:
+            raise ValueError(f"tenant {name!r} is already registered")
+        self._tenants[name] = tenant
         return tenant
 
     def get(self, name: str) -> Tenant:
-        with self._lock:
-            try:
-                return self._tenants[name]
-            except KeyError:
-                raise KeyError(f"no tenant named {name!r}") from None
+        try:
+            return self._tenants[name]
+        except KeyError:
+            raise KeyError(f"no tenant named {name!r}") from None
 
     def remove(self, name: str) -> Tenant:
         """Evict a tenant (e.g. after a crash, before re-admission)."""
-        with self._lock:
-            try:
-                return self._tenants.pop(name)
-            except KeyError:
-                raise KeyError(f"no tenant named {name!r}") from None
+        try:
+            return self._tenants.pop(name)
+        except KeyError:
+            raise KeyError(f"no tenant named {name!r}") from None
 
     def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._tenants)
+        return sorted(self._tenants)
 
     def tenants(self) -> list[Tenant]:
-        with self._lock:
-            return list(self._tenants.values())
+        return list(self._tenants.values())
 
     def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._tenants
+        return name in self._tenants
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._tenants)
+        return len(self._tenants)

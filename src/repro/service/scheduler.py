@@ -1,16 +1,18 @@
 """Fair asyncio dispatch of tenant commands over bounded queues.
 
-The scheduler is the service's concurrency spine: every tenant gets a
-bounded FIFO of pending commands, a dispatcher task picks the next
-(tenant, command) pair under a fairness policy, and execution happens in
-worker threads so the event loop never blocks on sampling work.
+Every tenant gets a bounded FIFO of pending commands, and a dispatcher
+task picks the next (tenant, command) pair under a fairness policy and
+runs it inline on the event loop, one command at a time.  Commands are
+pure-Python sampling work, so worker threads would only contend for the
+interpreter; running them on the loop keeps the whole service single-
+threaded.
 
 Three properties matter more than raw throughput:
 
-* **per-tenant order** — at most one command per tenant is in flight,
-  so a tenant's commands execute in submission order whatever the
-  interleaving with other tenants (the determinism contract needs
-  nothing stronger: tenants share only pure-function caches);
+* **per-tenant order** — a tenant's commands execute in submission
+  order whatever the interleaving with other tenants (the determinism
+  contract needs nothing stronger: tenants share only pure-function
+  caches);
 * **backpressure** — a full queue either rejects
   (:class:`AdmissionError`) or suspends the submitter until space
   frees, per the admission policy; a queue can never grow unboundedly;
@@ -43,28 +45,25 @@ class SchedulerClosedError(RuntimeError):
 
 
 class RequestScheduler:
-    """Bounded, fair, at-most-one-in-flight-per-tenant dispatch.
+    """Bounded, fair, one-command-at-a-time dispatch.
 
     ``execute`` is a synchronous callable ``(tenant, command) -> result``
-    run in the loop's default executor; ``concurrency`` caps how many
-    tenants' commands run simultaneously.  The scheduler is loop-
-    agnostic: all asyncio state is (re)built lazily inside the running
-    loop, so successive ``asyncio.run`` entries (each draining fully)
-    reuse one scheduler instance.
+    called on the event loop; the dispatcher yields to the loop after
+    every command so submitters see results and refill their queues.
+    The scheduler is loop-agnostic: all asyncio state is (re)built
+    lazily inside the running loop, so successive ``asyncio.run``
+    entries (each draining fully) reuse one scheduler instance.
     """
 
     def __init__(
         self,
         execute: Callable,
         *,
-        concurrency: int = 2,
         policy: str = "round-robin",
         max_pending: int = 16,
         admission: str = "wait",
         metrics=None,
     ):
-        if concurrency < 1:
-            raise ValueError("concurrency must be positive")
         if max_pending < 1:
             raise ValueError("max_pending must be positive")
         if policy not in POLICIES:
@@ -74,7 +73,6 @@ class RequestScheduler:
                 f"unknown admission {admission!r}; one of {ADMISSIONS}"
             )
         self._execute = execute
-        self.concurrency = concurrency
         self.policy = policy
         self.max_pending = max_pending
         self.admission = admission
@@ -84,15 +82,12 @@ class RequestScheduler:
         self._credits: dict[str, int] = {}
         self._ring: list[str] = []
         self._rr_next = 0
-        self._busy: set[str] = set()
-        self._inflight = 0
         self._closed = False
         # Loop-bound state, rebuilt whenever the running loop changes.
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._wakeup: Optional[asyncio.Event] = None
         self._space: Optional[asyncio.Event] = None
         self._idle: Optional[asyncio.Event] = None
-        self._semaphore: Optional[asyncio.Semaphore] = None
         self._dispatcher: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------------
@@ -107,14 +102,12 @@ class RequestScheduler:
         self._ring.append(name)
 
     def remove_tenant(self, name: str) -> None:
-        """Drop a tenant; its queue must be empty and nothing in flight."""
+        """Drop a tenant; its queue must be empty."""
         queue = self._queues.get(name)
         if queue is None:
             raise KeyError(f"no tenant named {name!r}")
-        if queue or name in self._busy:
-            raise RuntimeError(
-                f"tenant {name!r} still has pending or in-flight commands"
-            )
+        if queue:
+            raise RuntimeError(f"tenant {name!r} still has pending commands")
         del self._queues[name]
         del self._weights[name]
         del self._credits[name]
@@ -134,10 +127,6 @@ class RequestScheduler:
     def pending(self) -> int:
         return sum(len(queue) for queue in self._queues.values())
 
-    @property
-    def inflight(self) -> int:
-        return self._inflight
-
     # ------------------------------------------------------------------
     # Loop plumbing
     # ------------------------------------------------------------------
@@ -145,7 +134,7 @@ class RequestScheduler:
         loop = asyncio.get_running_loop()
         if self._loop is loop:
             return
-        if self._inflight or any(self._queues.values()):
+        if self.pending:
             raise RuntimeError(
                 "scheduler re-entered from a new event loop with work "
                 "still pending — drain before leaving the previous loop"
@@ -155,7 +144,6 @@ class RequestScheduler:
         self._space = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
-        self._semaphore = asyncio.Semaphore(self.concurrency)
         self._dispatcher = loop.create_task(self._dispatch())
 
     # ------------------------------------------------------------------
@@ -197,11 +185,7 @@ class RequestScheduler:
     # Dispatch
     # ------------------------------------------------------------------
     def _next_tenant(self) -> Optional[str]:
-        ready = [
-            name
-            for name in self._ring
-            if name not in self._busy and self._queues[name]
-        ]
+        ready = [name for name in self._ring if self._queues[name]]
         if not ready:
             return None
         if self.policy == "round-robin":
@@ -231,21 +215,19 @@ class RequestScheduler:
         while True:
             name = self._next_tenant()
             if name is None:
-                if self._closed and not self._inflight and not self.pending:
+                if self._closed:
                     return
                 self._wakeup.clear()
                 await self._wakeup.wait()
                 continue
-            await self._semaphore.acquire()
             command, future, enqueued_at = self._queues[name].popleft()
-            self._busy.add(name)
-            self._inflight += 1
             self._space.set()
-            self._loop.create_task(
-                self._run(name, command, future, enqueued_at)
-            )
+            self._run(name, command, future, enqueued_at)
+            # Let the submitter resume (and refill its queue) before the
+            # next pick, so closed-loop tenants stay in the rotation.
+            await asyncio.sleep(0)
 
-    async def _run(self, name, command, future, enqueued_at) -> None:
+    def _run(self, name, command, future, enqueued_at) -> None:
         started = time.perf_counter()
         if self.metrics is not None:
             self.metrics.record_start(
@@ -253,10 +235,8 @@ class RequestScheduler:
             )
         failed = False
         try:
-            result = await self._loop.run_in_executor(
-                None, self._execute, name, command
-            )
-        except BaseException as error:  # noqa: BLE001 - forwarded to caller
+            result = self._execute(name, command)
+        except Exception as error:  # noqa: BLE001 - forwarded to caller
             failed = True
             if not future.cancelled():
                 future.set_exception(error)
@@ -264,9 +244,6 @@ class RequestScheduler:
             if not future.cancelled():
                 future.set_result(result)
         finally:
-            self._semaphore.release()
-            self._busy.discard(name)
-            self._inflight -= 1
             if self.metrics is not None:
                 self.metrics.record_done(
                     name,
@@ -274,15 +251,14 @@ class RequestScheduler:
                     time.perf_counter() - started,
                     failed=failed,
                 )
-            if not self._inflight and not self.pending:
+            if not self.pending:
                 self._idle.set()
-            self._wakeup.set()
 
     # ------------------------------------------------------------------
     # Drain / shutdown
     # ------------------------------------------------------------------
     async def drain(self) -> None:
-        """Wait until every queued and in-flight command has finished."""
+        """Wait until every queued command has finished."""
         if self._loop is None:
             return
         self._bind_loop()
@@ -292,8 +268,8 @@ class RequestScheduler:
         """Stop accepting work; by default finish what was admitted.
 
         ``drain=False`` cancels *queued* commands (their submitters see
-        ``CancelledError``) but still waits out in-flight ones — a
-        command running in an executor thread cannot be interrupted.
+        ``CancelledError``); a command already running finishes first,
+        since commands run to completion on the loop.
         """
         if self._loop is None:
             self._closed = True
@@ -308,9 +284,7 @@ class RequestScheduler:
                     _, future, _ = queue.popleft()
                     future.cancel()
             self._space.set()
-            if not self._inflight:
-                self._idle.set()
-            await self._idle.wait()
+            self._idle.set()
         self._wakeup.set()
         if self._dispatcher is not None:
             await self._dispatcher

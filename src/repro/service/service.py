@@ -3,8 +3,7 @@
 :class:`ReconciliationService` assembles the package: a
 :class:`~repro.service.registry.SessionRegistry` of named tenants, a
 :class:`~repro.service.scheduler.RequestScheduler` dispatching their
-commands fairly, one shared :class:`~repro.shard.pool.ShardWorkerPool`
-handed to every tenant's sharded store, a
+commands fairly, one at a time on the event loop, a
 :class:`~repro.service.catalog.ShardCatalog` of reusable compiles and
 fills, and :class:`~repro.service.metrics.ServiceMetrics` over it all.
 
@@ -15,13 +14,11 @@ vectors) to running that tenant's commands alone and in order.  It
 holds by construction — tenants share *no mutable sampling state*:
 
 * sessions own their RNG streams, feedback and stores outright;
-* the scheduler keeps at most one command per tenant in flight, so a
-  tenant's commands run in submission order;
+* the scheduler runs each tenant's queue in FIFO order, so a tenant's
+  commands run in submission order;
 * the catalog caches only pure functions of the network (compiled
   sub-networks, unconditioned enumerated fills, delta results), so a
-  hit returns exactly what the tenant would have computed;
-* the worker pool routes by (client, shard) but every job ships its
-  authoritative store/sampler state — placement cannot change results.
+  hit returns exactly what the tenant would have computed.
 
 ``tests/test_service_equivalence.py`` pins the contract differentially
 (N concurrent tenants vs. the same programs run sequentially).
@@ -37,13 +34,11 @@ from __future__ import annotations
 
 import asyncio
 import numbers
-from typing import Optional
 
 from ..core.delta import NetworkDelta
 from ..durability.checkpoint import save_checkpoint
 from ..durability.journal import FeedbackJournal
 from ..durability.recovery import CHECKPOINT_FILE, JOURNAL_FILE
-from ..shard.pool import ShardWorkerPool
 from .catalog import ShardCatalog
 from .metrics import ServiceMetrics
 from .registry import SessionRegistry, Tenant
@@ -59,36 +54,25 @@ MUTATING_OPS = ("step", "round", "apply_delta", "rescore")
 class ReconciliationService:
     """Async multi-tenant front-end over shared shard infrastructure.
 
-    ``workers`` spins up the shared :class:`ShardWorkerPool` (``None``
-    leaves tenants on their sequential refill paths — the right default
-    on single-core boxes, where the catalog, not parallelism, is the
-    throughput lever).  ``concurrency``, ``policy``, ``max_pending`` and
-    ``admission`` parameterise the scheduler; ``max_networks`` bounds
-    the catalog's generation LRU.
+    ``policy``, ``max_pending`` and ``admission`` parameterise the
+    scheduler; ``max_networks`` bounds the catalog's generation LRU.
     """
 
     def __init__(
         self,
         *,
-        workers: Optional[int] = None,
-        steal_threshold: int = 2,
-        concurrency: int = 2,
         policy: str = "round-robin",
         max_pending: int = 16,
         admission: str = "wait",
         max_networks: int = 4,
     ):
         self.catalog = ShardCatalog(max_networks=max_networks)
-        self.pool = (
-            ShardWorkerPool(workers, steal_threshold=steal_threshold)
-            if workers is not None and workers > 0
-            else None
-        )
+        # Always None; kept because perfbench/workloads.py passes it on.
+        self.pool = None
         self.registry = SessionRegistry()
         self.metrics = ServiceMetrics()
         self.scheduler = RequestScheduler(
             self._execute,
-            concurrency=concurrency,
             policy=policy,
             max_pending=max_pending,
             admission=admission,
@@ -156,7 +140,7 @@ class ReconciliationService:
         return tenant
 
     # ------------------------------------------------------------------
-    # Command execution (runs in scheduler executor threads)
+    # Command execution (called by the scheduler on the event loop)
     # ------------------------------------------------------------------
     def _execute(self, name: str, command: dict):
         tenant = self.registry.get(name)
@@ -296,31 +280,14 @@ class ReconciliationService:
         return asyncio.run(main())
 
     def stats(self) -> dict:
-        """Service-wide observability: tenants, catalog, pool."""
-        report = {
+        """Service-wide observability: tenants and catalog."""
+        return {
             "tenants": self.metrics.snapshot(),
             "catalog": self.catalog.stats(),
         }
-        if self.pool is not None:
-            pool = self.pool.stats()
-            report["pool"] = {
-                "workers": pool.workers,
-                "submitted": pool.submitted,
-                "affinity_hits": pool.affinity_hits,
-                "affinity_misses": pool.affinity_misses,
-                "steals": pool.steals,
-                "cache_refreshes": pool.cache_refreshes,
-                "hit_rate": pool.hit_rate,
-                "per_slot": list(pool.per_slot),
-            }
-        return report
 
     def close(self) -> None:
-        """Release shared resources (idempotent, sync).
-
-        Final checkpoints are written for durable tenants, tenant stores
-        drop their *owned* pools, and the shared worker pool shuts down.
-        """
+        """Write final checkpoints for durable tenants (idempotent, sync)."""
         if self._closed:
             return
         self._closed = True
@@ -329,13 +296,6 @@ class ReconciliationService:
                 save_checkpoint(
                     tenant.session, tenant.checkpoint_dir / CHECKPOINT_FILE
                 )
-            store = getattr(
-                getattr(tenant.session.pnet, "estimator", None), "store", None
-            )
-            if store is not None and hasattr(store, "close"):
-                store.close()
-        if self.pool is not None:
-            self.pool.close()
 
     def __enter__(self) -> "ReconciliationService":
         if self._closed:

@@ -12,9 +12,7 @@ factorises over the components.  This package exploits that:
   the exact boundary merge (:class:`ShardedSampleStore`);
 * :mod:`repro.shard.estimator` — the drop-in
   :class:`~repro.core.probability.ProbabilityEstimator`
-  (:class:`ShardedEstimator`);
-* :mod:`repro.shard.parallel` — process-pool refill fan-out, bit-
-  identical to the sequential fallback.
+  (:class:`ShardedEstimator`).
 
 The differential suite in ``tests/test_shard_equivalence.py`` pins the
 whole construction: sharded session traces are bit-identical to the
@@ -28,7 +26,6 @@ from .components import (
     violation_components,
 )
 from .estimator import ShardedEstimator
-from .pool import PoolClosedError, PoolStats, ShardWorkerPool
 from .store import (
     MAX_PRODUCT_ROWS,
     EnumeratingSampleStore,
@@ -39,11 +36,8 @@ from .store import (
 __all__ = [
     "MAX_PRODUCT_ROWS",
     "EnumeratingSampleStore",
-    "PoolClosedError",
-    "PoolStats",
     "Shard",
     "ShardPlan",
-    "ShardWorkerPool",
     "ShardedEstimator",
     "ShardedSampleStore",
     "shard_plan",

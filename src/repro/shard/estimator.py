@@ -37,12 +37,9 @@ class ShardedEstimator(ProbabilityEstimator):
         target_samples: int = 500,
         walk_steps: int = 5,
         rng: Optional[random.Random] = None,
-        chains: int = 1,
         max_shards: Optional[int] = None,
         enumerate_limit: int = 4096,
-        parallel: Optional[int] = None,
         restart_probability: float = 0.15,
-        pool=None,
         catalog=None,
     ):
         self.network = network
@@ -52,11 +49,8 @@ class ShardedEstimator(ProbabilityEstimator):
             target_samples=target_samples,
             walk_steps=walk_steps,
             restart_probability=restart_probability,
-            chains=chains,
             max_shards=max_shards,
             enumerate_limit=enumerate_limit,
-            parallel=parallel,
-            pool=pool,
             catalog=catalog,
         )
 

@@ -29,7 +29,6 @@ the global width.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Optional, Sequence
 
@@ -115,12 +114,6 @@ class EnumeratingSampleStore(SampleStore):
         self._invalidate_derived()
 
 
-#: Process-wide shard identities for worker-pool affinity.  ``id()``
-#: would be reused after GC and silently alias two shards' cached
-#: sub-networks; a monotone counter cannot collide.
-_SHARD_UIDS = itertools.count(1)
-
-
 class Shard:
     """One shard: a component-closed slice of the candidate universe.
 
@@ -130,12 +123,10 @@ class Shard:
     over exactly those candidates — ``CandidateSet.restricted_to``
     preserves insertion order, so local engine index ``k`` is global
     index ``indices[k]`` and the shard store's vectors align with
-    ``columns`` directly.  ``uid`` identifies the shard (and hence its
-    sub-network) across refills for worker affinity: delta carryover
-    keeps the uid with the network, rebuilds draw a fresh one.
+    ``columns`` directly.
     """
 
-    __slots__ = ("position", "indices", "columns", "network", "store", "uid")
+    __slots__ = ("position", "indices", "columns", "network", "store")
 
     def __init__(
         self,
@@ -143,14 +134,12 @@ class Shard:
         indices: tuple[int, ...],
         network: MatchingNetwork,
         store: SampleStore,
-        uid: Optional[int] = None,
     ):
         self.position = position
         self.indices = indices
         self.columns = np.asarray(indices, dtype=np.intp)
         self.network = network
         self.store = store
-        self.uid = uid if uid is not None else next(_SHARD_UIDS)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -219,11 +208,6 @@ class ShardedSampleStore:
     instance, so their merged probability is exactly ``1.0`` unless
     disapproved (then ``0.0``) — bit-identical to the whole-network
     frequency a complete unsharded store would report.
-
-    ``parallel`` fans refills across a process pool
-    (:mod:`repro.shard.parallel`); the sequential fallback is
-    bit-identical because each shard's refill depends only on its own
-    store state and RNG stream.
     """
 
     def __init__(
@@ -234,12 +218,9 @@ class ShardedSampleStore:
         min_samples: Optional[int] = None,
         walk_steps: int = 5,
         restart_probability: float = 0.15,
-        chains: int = 1,
         max_shards: Optional[int] = None,
         enumerate_limit: int = 4096,
-        parallel: Optional[int] = None,
         fill: bool = True,
-        pool=None,
         catalog=None,
     ):
         if target_samples < 1:
@@ -252,15 +233,10 @@ class ShardedSampleStore:
         )
         self.walk_steps = walk_steps
         self.restart_probability = restart_probability
-        self.chains = chains
         self.max_shards = max_shards
         self.enumerate_limit = enumerate_limit
-        self.parallel = parallel
-        # A shared ShardWorkerPool (service-owned, never closed here) and
-        # an optional ShardCatalog of reusable compiles/fills — both
-        # duck-typed so the shard layer never imports the service layer.
-        self._external_pool = pool
-        self._client = pool.register_client() if pool is not None else None
+        # An optional ShardCatalog of reusable compiles/fills, duck-typed
+        # so the shard layer never imports the service layer.
         self.catalog = catalog
         self.feedback = Feedback()
         self.version = 0
@@ -277,8 +253,6 @@ class ShardedSampleStore:
         self._vector_cache: Optional[np.ndarray] = None
         self._matrix_cache: Optional[np.ndarray] = None
         self._matrix_float_cache: Optional[np.ndarray] = None
-        self._pool = None
-        self._pool_workers: Optional[int] = None
         if fill:
             self.refill()
 
@@ -314,7 +288,6 @@ class ShardedSampleStore:
             walk_steps=self.walk_steps,
             rng=random.Random(self.rng.getrandbits(64)),
             restart_probability=self.restart_probability,
-            chains=self.chains,
         )
         state = _empty_store_state(self.target_samples, self.min_samples)
         if self.feedback:
@@ -361,15 +334,13 @@ class ShardedSampleStore:
     # ------------------------------------------------------------------
     # Refill
     # ------------------------------------------------------------------
-    def refill(self, parallel: Optional[int] = None) -> None:
-        """Top up every shard below target (the fan-out point).
+    def refill(self) -> None:
+        """Top up every shard below target, in shard order.
 
-        ``parallel`` (or the instance knob) > 1 ships needy shards to a
-        process pool; otherwise they refresh sequentially in shard
-        order.  Both paths are bit-identical: a shard refill reads and
-        writes nothing but that shard's store and sampler streams.
+        A shard refill reads and writes nothing but that shard's store
+        and sampler streams, so the result depends only on which shards
+        are needy, never on the order they refresh in.
         """
-        workers = parallel if parallel is not None else self.parallel
         needy = [
             shard
             for shard in self.shards
@@ -378,18 +349,8 @@ class ShardedSampleStore:
         ]
         if needy:
             watched = self._fill_candidates(needy)
-            if workers is not None and workers > 1 and len(needy) > 1:
-                from .parallel import refill_shards_parallel
-
-                refill_shards_parallel(
-                    needy,
-                    workers=workers,
-                    pool=self._ensure_pool(workers),
-                    client=self._client,
-                )
-            else:
-                for shard in needy:
-                    shard.store.refresh()
+            for shard in needy:
+                shard.store.refresh()
             self._publish_fills(watched)
         self._invalidate()
 
@@ -420,49 +381,6 @@ class ShardedSampleStore:
                     self._fill_key(shard.indices),
                     shard.store.get_state(),
                 )
-
-    def _ensure_pool(self, workers: int):
-        """The persistent worker pool for parallel refills.
-
-        A service-shared pool passed at construction wins outright (its
-        worker count is the service's concern, and the service closes
-        it).  Otherwise the store lazily owns a
-        :class:`~repro.shard.pool.ShardWorkerPool` — created on first
-        parallel refill and reused until :meth:`close`, recreated only if
-        the worker count changes.  The pool carries no *authoritative*
-        sampling state (workers receive full store and sampler states per
-        call; their network caches are a shipping optimisation), so reuse
-        cannot affect results.
-        """
-        if self._external_pool is not None:
-            return self._external_pool
-        if self._pool is not None and self._pool_workers != workers:
-            self._pool.close()
-            self._pool = None
-        if self._pool is None:
-            from .pool import ShardWorkerPool
-
-            self._pool = ShardWorkerPool(workers)
-            self._pool_workers = workers
-            self._client = self._pool.register_client()
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the owned worker pool (idempotent).
-
-        A service-shared pool is deliberately left running — the service
-        owns its lifecycle and other tenants are still using it.
-        """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-            self._pool_workers = None
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown timing
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------
     # Network evolution
@@ -519,8 +437,7 @@ class ShardedSampleStore:
             if old_position is not None:
                 old = old_shards[old_position]
                 self.shards.append(
-                    Shard(position, indices, old.network, old.store,
-                          uid=old.uid)
+                    Shard(position, indices, old.network, old.store)
                 )
             else:
                 # Rebuilt shards draw fresh streams from the master rng
@@ -749,11 +666,8 @@ class ShardedSampleStore:
         min_samples: Optional[int] = None,
         walk_steps: int = 5,
         restart_probability: float = 0.15,
-        chains: int = 1,
         max_shards: Optional[int] = None,
         enumerate_limit: int = 4096,
-        parallel: Optional[int] = None,
-        pool=None,
         catalog=None,
     ) -> "ShardedSampleStore":
         """Rebuild from :meth:`get_state` without consuming any RNG.
@@ -770,12 +684,9 @@ class ShardedSampleStore:
             min_samples=min_samples,
             walk_steps=walk_steps,
             restart_probability=restart_probability,
-            chains=chains,
             max_shards=max_shards,
             enumerate_limit=enumerate_limit,
-            parallel=parallel,
             fill=False,
-            pool=pool,
             catalog=catalog,
         )
         version, internal, gauss = state["rng"]

@@ -725,21 +725,17 @@ class TestRescoreDelta:
         store = ShardedSampleStore(
             network, rng=random.Random(5), target_samples=50
         )
-        shards_before = [
-            (shard.network, shard.store, shard.uid) for shard in store.shards
-        ]
+        shards_before = [(shard.network, shard.store) for shard in store.shards]
         vector_before = store.probability_vector().copy()
         first = network.correspondences[0]
         result = network.apply_delta(NetworkDelta(rescore=((first, 0.6),)))
         carried = store.apply_delta(result)
         assert carried == {i: i for i in range(len(store.shards))}
         assert store.network is result.network
-        for shard, (net, st, uid) in zip(store.shards, shards_before):
+        for shard, (net, st) in zip(store.shards, shards_before):
             assert shard.network is net
             assert shard.store is st
-            assert shard.uid == uid
         assert np.array_equal(store.probability_vector(), vector_before)
-        store.close()
 
     def test_codec_round_trips_rescore(self):
         network = self._network()

@@ -36,6 +36,7 @@ from repro.durability import (
     truncate_to_committed,
 )
 from repro.experiments import synthetic_fixture
+from repro.experiments.churn import make_churn_delta
 from repro.experiments.scenarios import (
     ScenarioSpec,
     build_crowd_session,
@@ -402,6 +403,65 @@ class TestExpertCheckpointRoundTrip:
             checkpoint_to_dict(session)
 
 
+class TestPostDeltaCheckpointRestore:
+    """A checkpoint taken after a schema-removing delta restores.
+
+    Trace history keeps naming candidates of the retired schemas, so it
+    must decode without the live network's schema table; the restored
+    session then continues bit-identically.
+    """
+
+    def _churn(self, session, named):
+        delta = make_churn_delta(
+            session.pnet.network, 0.25, random.Random(3)
+        )
+        assert named & set(delta.remove_schemas)  # history names a victim
+        session.apply_delta(delta)
+
+    def test_expert_session(self, tmp_path):
+        session = build_session(
+            small_fixture(), expert_spec(sharded=True, strategy="likelihood")
+        )
+        session.run(budget=10)
+        self._churn(session, {
+            attribute.schema
+            for step in session.trace.steps
+            for attribute in step.correspondence.attributes
+        })
+        restored = restore_session(save_checkpoint(session, tmp_path / "c"))
+        assert restored.trace == session.trace
+        for _ in range(6):
+            session.step()
+            restored.step()
+        assert len(session.trace.steps) > 10
+        assert restored.trace == session.trace
+
+    def test_crowd_session(self, tmp_path):
+        spec = crowd_spec(
+            sharded=True, strategy="likelihood", crowd_budget=None
+        )
+        session = build_crowd_session(small_fixture(), spec)
+        for _ in range(3):
+            session.round()
+        self._churn(session, {
+            attribute.schema
+            for record in session.trace.rounds
+            for corr in record.questions
+            for attribute in corr.attributes
+        })
+        restored = restore_session(save_checkpoint(session, tmp_path / "c"))
+        assert crowd_trace_tuple(restored.trace) == crowd_trace_tuple(
+            session.trace
+        )
+        for _ in range(5):
+            session.round()
+            restored.round()
+        assert len(session.trace.rounds) == 8
+        assert crowd_trace_tuple(restored.trace) == crowd_trace_tuple(
+            session.trace
+        )
+
+
 class TestCrashRecoveryEquivalence:
     """Kill at every round boundary; recovery must be bit-identical."""
 
@@ -575,8 +635,7 @@ class TestShardedCheckpointRoundTrip:
     A sharded checkpoint must capture every shard's Ω* masks and both of
     its RNG streams (plus the master stream): restore rebuilds the shard
     plan from the network and adopts the per-shard state verbatim, so a
-    restored session continues bit-for-bit — including with multi-chain
-    samplers, whose chain streams derive from the checkpointed rng.
+    restored session continues bit-for-bit.
     """
 
     def _sharded_spec(self, **overrides) -> ScenarioSpec:
@@ -599,20 +658,6 @@ class TestShardedCheckpointRoundTrip:
             s.approved for s in session.trace.steps
         ]
 
-    def test_multichain_sampler_round_trips(self, tmp_path):
-        session = build_session(
-            small_fixture(), self._sharded_spec(shard_chains=3)
-        )
-        session.run(budget=5)
-        restored = restore_session(save_checkpoint(session, tmp_path / "c"))
-        store = restored.pnet.estimator.store
-        assert all(
-            shard.store.sampler.chains == 3 for shard in store.shards
-        )
-        session.run(budget=15)
-        restored.run(budget=15)
-        assert restored.trace.uncertainties == session.trace.uncertainties
-
     def test_sharded_document_shape(self, tmp_path):
         from repro.shard import ShardedEstimator
 
@@ -627,7 +672,7 @@ class TestShardedCheckpointRoundTrip:
         assert len(pnet_doc["shards"]) == estimator.n_shards
         config = pnet_doc["config"]
         assert config["target_samples"] == estimator.store.target_samples
-        assert config["chains"] == estimator.store.chains
+        assert "chains" not in config and "parallel" not in config
         # Every shard checkpoints both RNG streams.
         for shard_doc in pnet_doc["shards"]:
             assert "rng" in shard_doc["sampler"]
@@ -644,21 +689,35 @@ class TestShardedCheckpointRoundTrip:
             assert a.store.get_state() == b.store.get_state()
             assert a.store.sampler.get_state() == b.store.sampler.get_state()
 
-    def test_pre_multichain_checkpoint_still_restores(self, tmp_path):
-        """Unsharded checkpoints written before the `chains` field existed
-        restore as single-chain samplers (backward compatibility)."""
-        session = build_session(small_fixture(), expert_spec())
+    @pytest.mark.parametrize("sharded", [False, True], ids=["sampled", "sharded"])
+    def test_chains_field_on_restore(self, tmp_path, sharded):
+        """Older documents carry ``chains`` (and sharded ones ``parallel``).
+
+        An absent count and ``chains: 1`` restore and continue
+        bit-identically, ``parallel`` is ignored, and any other chain
+        count is refused with a typed error naming the field.
+        """
+        spec = self._sharded_spec() if sharded else expert_spec()
+        session = build_session(small_fixture(), spec)
         session.run(budget=4)
         path = save_checkpoint(session, tmp_path / "c")
         document = json.loads(path.read_text())
-        assert document["pnet"]["sampler"]["chains"] == 1
-        del document["pnet"]["sampler"]["chains"]
+        key = "config" if sharded else "sampler"
+        assert "chains" not in document["pnet"][key]
+        absent = restore_session(path)
+        document["pnet"][key]["chains"] = 1
+        if sharded:
+            document["pnet"][key]["parallel"] = 2
         path.write_text(json.dumps(document))
-        restored = restore_session(path)
-        assert restored.pnet.estimator.store.sampler.chains == 1
+        single = restore_session(path)
         session.run(budget=10)
-        restored.run(budget=10)
-        assert restored.trace.uncertainties == session.trace.uncertainties
+        for restored in (absent, single):
+            restored.run(budget=10)
+            assert restored.trace.uncertainties == session.trace.uncertainties
+        document["pnet"][key]["chains"] = 3
+        path.write_text(json.dumps(document))
+        with pytest.raises(FormatError, match=f"pnet.{key}.chains"):
+            restore_session(path)
 
     def test_shard_count_mismatch_rejected(self, tmp_path):
         session = build_session(small_fixture(), self._sharded_spec())

@@ -13,6 +13,7 @@ from repro.core import (
     is_matching_instance,
     symmetric_difference_size,
 )
+from repro.core import sampling as sampling_module
 
 
 class TestSymmetricDifference:
@@ -95,6 +96,65 @@ class TestInstanceSampler:
         sampler = InstanceSampler(network, rng=random.Random(0))
         samples = sampler.sample(10)
         assert set(samples) == {frozenset({c["c1"], c["c2"], c["c3"]})}
+
+
+class TestWalkEdgeCases:
+    def test_restart_probability_one(self, movie_network):
+        """Every round restarts to the feedback core before stepping."""
+        sampler = InstanceSampler(
+            movie_network, rng=random.Random(3), restart_probability=1.0
+        )
+        states, _ = sampler.walk_states(30)
+        assert len(states) == 30
+        for sample in sampler.sample(20):
+            assert is_matching_instance(sample, movie_network)
+
+    def test_empty_availability_breaks_walk(self, movie_network):
+        """All candidates disapproved: avail is empty from the first step."""
+        feedback = Feedback(disapproved=list(movie_network.correspondences))
+        sampler = InstanceSampler(movie_network, rng=random.Random(1))
+        states, allowed = sampler.walk_states(10, feedback)
+        assert allowed == 0
+        assert states == [0] * 10
+        assert sampler.sample(10, feedback) == [frozenset()]
+
+    def test_availability_exhausted_mid_walk(self, movie_network):
+        """One allowed candidate: once taken, later steps hit the break."""
+        corrs = movie_network.correspondences
+        feedback = Feedback(disapproved=list(corrs[1:]))
+        sampler = InstanceSampler(
+            movie_network, rng=random.Random(1), walk_steps=6
+        )
+        states, allowed = sampler.walk_states(12, feedback)
+        assert allowed.bit_count() == 1
+        assert set(states) <= {0, allowed}
+        assert allowed in states  # the walk does reach the lone candidate
+        samples = sampler.sample(12, feedback)
+        assert samples == [frozenset([corrs[0]])]
+
+    def test_kth_set_bit_fallback_fires(self, movie_network, monkeypatch):
+        """A sparse availability mask forces the exact k-th-bit fallback.
+
+        With one allowed bit out of five, four rejection tries all miss
+        with probability (4/5)^4 ≈ 0.41 per step, so a seeded 20-round
+        walk deterministically exercises the fallback.
+        """
+        corrs = movie_network.correspondences
+        feedback = Feedback(disapproved=list(corrs[1:]))
+        calls = {"count": 0}
+        real = sampling_module.kth_set_bit
+
+        def counting(mask, k):
+            calls["count"] += 1
+            return real(mask, k)
+
+        monkeypatch.setattr(sampling_module, "kth_set_bit", counting)
+        sampler = InstanceSampler(
+            movie_network, rng=random.Random(0), restart_probability=1.0
+        )
+        states, _ = sampler.walk_states(20, feedback)
+        assert calls["count"] > 0
+        assert set(states) <= {0, sampler.network.engine.mask_of([corrs[0]])}
 
 
 class TestSampleStore:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import asyncio
 import random
-import threading
 
 import pytest
 
@@ -20,6 +19,7 @@ from repro.experiments.churn import make_churn_delta
 from repro.experiments.harness import synthetic_fixture
 from repro.experiments.scenarios import (
     ScenarioSpec,
+    build_crowd_session,
     build_session,
     run_scenario,
     run_service_scenario,
@@ -57,8 +57,6 @@ def _expert_spec(**overrides) -> ScenarioSpec:
 class TestRequestScheduler:
     def test_invalid_construction(self):
         execute = lambda name, command: None  # noqa: E731
-        with pytest.raises(ValueError, match="concurrency"):
-            RequestScheduler(execute, concurrency=0)
         with pytest.raises(ValueError, match="max_pending"):
             RequestScheduler(execute, max_pending=0)
         with pytest.raises(ValueError, match="policy"):
@@ -74,7 +72,7 @@ class TestRequestScheduler:
             return command["id"]
 
         async def main():
-            scheduler = RequestScheduler(execute, concurrency=1)
+            scheduler = RequestScheduler(execute)
             scheduler.add_tenant("A")
             scheduler.add_tenant("B")
             results = await asyncio.gather(
@@ -90,15 +88,13 @@ class TestRequestScheduler:
 
     def test_per_tenant_order_survives_concurrency(self):
         served = []
-        lock = threading.Lock()
 
         def execute(name, command):
-            with lock:
-                served.append((name, command["id"]))
+            served.append((name, command["id"]))
             return command["id"]
 
         async def main():
-            scheduler = RequestScheduler(execute, concurrency=4)
+            scheduler = RequestScheduler(execute)
             for name in ("A", "B", "C"):
                 scheduler.add_tenant(name)
             await asyncio.gather(
@@ -135,68 +131,53 @@ class TestRequestScheduler:
         assert picks == ["A", "A", "B"] * 3
 
     def test_admission_wait_suspends_until_space(self):
-        blocker = threading.Event()
-
-        def execute(name, command):
-            if command.get("block"):
-                blocker.wait(5)
-            return command["id"]
-
         async def main():
             scheduler = RequestScheduler(
-                execute, concurrency=1, max_pending=1, admission="wait"
+                lambda name, command: command["id"],
+                max_pending=1,
+                admission="wait",
             )
             scheduler.add_tenant("A")
-            first = asyncio.ensure_future(
-                scheduler.submit("A", {"id": 1, "block": True})
-            )
-            await asyncio.sleep(0.05)  # let the dispatcher pop command 1
-            second = asyncio.ensure_future(scheduler.submit("A", {"id": 2}))
-            await asyncio.sleep(0.05)  # command 2 now fills the queue
-            third = asyncio.ensure_future(scheduler.submit("A", {"id": 3}))
-            await asyncio.sleep(0.05)
-            suspended = not third.done()
-            blocker.set()
-            results = [await first, await second, await third]
+            submits = [
+                asyncio.ensure_future(scheduler.submit("A", {"id": index}))
+                for index in (1, 2, 3)
+            ]
+            # One pass of the loop runs every submitter before the
+            # dispatcher: command 1 fills the queue, 2 and 3 must wait.
+            await asyncio.sleep(0)
+            admitted = scheduler.pending
+            suspended = [not submit.done() for submit in submits]
+            results = await asyncio.gather(*submits)
             await scheduler.aclose()
-            return suspended, results
+            return admitted, suspended, results
 
-        suspended, results = asyncio.run(main())
-        assert suspended
+        admitted, suspended, results = asyncio.run(main())
+        assert admitted == 1
+        assert suspended == [True, True, True]
         assert results == [1, 2, 3]
 
     def test_admission_reject_raises_and_counts(self):
-        blocker = threading.Event()
         metrics = ServiceMetrics()
-
-        def execute(name, command):
-            if command.get("block"):
-                blocker.wait(5)
-            return command["id"]
 
         async def main():
             scheduler = RequestScheduler(
-                execute,
-                concurrency=1,
+                lambda name, command: command["id"],
                 max_pending=1,
                 admission="reject",
                 metrics=metrics,
             )
             scheduler.add_tenant("A")
-            first = asyncio.ensure_future(
-                scheduler.submit("A", {"id": 1, "block": True})
-            )
-            await asyncio.sleep(0.05)
+            first = asyncio.ensure_future(scheduler.submit("A", {"id": 1}))
             second = asyncio.ensure_future(scheduler.submit("A", {"id": 2}))
-            await asyncio.sleep(0.05)
+            # Command 1 fills the queue before the dispatcher runs, so
+            # command 2 finds it full.
             with pytest.raises(AdmissionError, match="max_pending"):
-                await scheduler.submit("A", {"id": 3})
-            blocker.set()
-            results = [await first, await second]
+                await second
+            result = await first
             await scheduler.aclose()
-            return results
+            return result
 
-        assert asyncio.run(main()) == [1, 2]
+        assert asyncio.run(main()) == 1
         assert metrics.snapshot()["A"]["rejected"] == 1
 
     def test_unknown_tenant_raises(self):
@@ -232,53 +213,53 @@ class TestRequestScheduler:
         asyncio.run(main())
 
     def test_aclose_drains_inflight_commands(self):
-        """Shutdown waits out commands already running (satellite 3)."""
-        blocker = threading.Event()
+        """A close requested by a running command waits out the queue."""
         finished = []
-
-        def execute(name, command):
-            blocker.wait(5)
-            finished.append(command["id"])
-            return command["id"]
+        closer_done = []
 
         async def main():
-            scheduler = RequestScheduler(execute, concurrency=1)
-            scheduler.add_tenant("A")
-            pending = asyncio.ensure_future(scheduler.submit("A", {"id": 1}))
-            await asyncio.sleep(0.05)
-            closer = asyncio.ensure_future(scheduler.aclose())
-            await asyncio.sleep(0.05)
-            still_open = not closer.done()
-            blocker.set()
-            result = await pending
-            await closer
-            return still_open, result
+            closer = None
 
-        still_open, result = asyncio.run(main())
-        assert still_open  # close blocked on the in-flight command
-        assert result == 1
-        assert finished == [1]
+            def execute(name, command):
+                nonlocal closer
+                if closer is None:
+                    closer = asyncio.ensure_future(scheduler.aclose())
+                else:
+                    closer_done.append(closer.done())
+                finished.append(command["id"])
+                return command["id"]
+
+            scheduler = RequestScheduler(execute)
+            scheduler.add_tenant("A")
+            results = await asyncio.gather(
+                scheduler.submit("A", {"id": 1}),
+                scheduler.submit("A", {"id": 2}),
+            )
+            await closer
+            return results
+
+        assert asyncio.run(main()) == [1, 2]
+        assert finished == [1, 2]
+        assert closer_done == [False]  # close blocked on the queued command
 
     def test_aclose_without_drain_cancels_queued(self):
-        blocker = threading.Event()
-
-        def execute(name, command):
-            if command.get("block"):
-                blocker.wait(5)
-            return command["id"]
+        """A no-drain close lets the running command finish, cancels the rest."""
 
         async def main():
-            scheduler = RequestScheduler(execute, concurrency=1)
+            closer = None
+
+            def execute(name, command):
+                nonlocal closer
+                if closer is None:
+                    closer = asyncio.ensure_future(
+                        scheduler.aclose(drain=False)
+                    )
+                return command["id"]
+
+            scheduler = RequestScheduler(execute)
             scheduler.add_tenant("A")
-            first = asyncio.ensure_future(
-                scheduler.submit("A", {"id": 1, "block": True})
-            )
-            await asyncio.sleep(0.05)
+            first = asyncio.ensure_future(scheduler.submit("A", {"id": 1}))
             second = asyncio.ensure_future(scheduler.submit("A", {"id": 2}))
-            await asyncio.sleep(0.05)
-            closer = asyncio.ensure_future(scheduler.aclose(drain=False))
-            await asyncio.sleep(0.05)
-            blocker.set()
             result = await first
             with pytest.raises(asyncio.CancelledError):
                 await second
@@ -478,10 +459,7 @@ class TestServiceCommands:
     def test_step_and_query(self, fixture):
         with ReconciliationService() as service:
             session = build_session(
-                fixture,
-                _expert_spec(),
-                shard_pool=service.pool,
-                catalog=service.catalog,
+                fixture, _expert_spec(), catalog=service.catalog
             )
             service.add_tenant("t0", session)
             results = service.run_programs(
@@ -659,10 +637,7 @@ class TestServiceScenarios:
         assert program[2]["delta"].is_structural
 
     def test_expert_fleet_shares_one_recompile(self, fixture):
-        spec = _expert_spec(
-            service=True, tenants=3, budget=3, churn_at=1,
-            service_concurrency=2,
-        )
+        spec = _expert_spec(service=True, tenants=3, budget=3, churn_at=1)
         result = run_service_scenario(fixture, spec)
         assert len(result.outcomes) == 3
         assert all(outcome.steps == 3 for outcome in result.outcomes)
@@ -692,16 +667,13 @@ class TestServiceScenarios:
             entry["commands"] == {"round": 2} for entry in served.values()
         )
 
-    def test_fleet_with_shared_worker_pool(self, fixture):
-        spec = _expert_spec(
-            service=True,
-            tenants=2,
-            budget=2,
-            service_workers=2,
-            shard_parallel=2,
-        )
-        result = run_service_scenario(fixture, spec)
-        assert len(result.outcomes) == 2
-        pool = result.stats["pool"]
-        assert pool["workers"] == 2
-        assert pool["submitted"] > 0
+    def test_shard_pool_keyword_accepts_only_none(self, fixture):
+        with ReconciliationService() as service:
+            assert service.pool is None
+            assert "pool" not in service.stats()
+            build_session(fixture, _expert_spec(), shard_pool=service.pool)
+        with pytest.raises(TypeError, match="shard_pool"):
+            build_session(fixture, _expert_spec(), shard_pool=object())
+        crowd = _expert_spec(oracle="crowd", crowd_rounds=1)
+        with pytest.raises(TypeError, match="shard_pool"):
+            build_crowd_session(fixture, crowd, shard_pool=object())

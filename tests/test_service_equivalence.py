@@ -4,7 +4,7 @@ Headline invariant of :mod:`repro.service`: any interleaving of N tenant
 command streams produces, per tenant, *bit-identical* results to running
 that tenant's commands alone and in order — selections, verdicts,
 uncertainties and probability vectors all match exactly, whatever the
-scheduling policy, concurrency level, or catalog/pool sharing in play.
+scheduling policy or catalog sharing in play.
 
 Style follows ``tests/test_shard_equivalence.py``: compute a full
 fingerprint of every tenant under the naive sequential path once, then
@@ -93,12 +93,6 @@ def _fingerprint(session) -> dict:
     }
 
 
-def _close_store(session) -> None:
-    store = getattr(session.pnet.estimator, "store", None)
-    if store is not None and hasattr(store, "close"):
-        store.close()
-
-
 def _run_solo(fixture, spec: ScenarioSpec, program) -> dict:
     """The naive sequential reference: no service, no shared artefacts."""
     session = build_session(fixture, spec)
@@ -109,9 +103,7 @@ def _run_solo(fixture, spec: ScenarioSpec, program) -> dict:
             session.apply_delta(command["delta"])
         else:  # pragma: no cover - defensive
             raise AssertionError(command)
-    fingerprint = _fingerprint(session)
-    _close_store(session)
-    return fingerprint
+    return _fingerprint(session)
 
 
 def _run_fleet(fixture, specs, program, **service_settings) -> dict:
@@ -121,10 +113,7 @@ def _run_fleet(fixture, specs, program, **service_settings) -> dict:
         for index, spec in enumerate(specs):
             name = f"t{index}"
             sessions[name] = build_session(
-                fixture,
-                spec,
-                shard_pool=service.pool,
-                catalog=service.catalog,
+                fixture, spec, catalog=service.catalog
             )
             service.add_tenant(name, sessions[name], weight=1 + index % 3)
         results = service.run_programs(
@@ -154,8 +143,8 @@ class TestServiceDeterminismContract:
     @pytest.mark.parametrize(
         "service_settings",
         [
-            {"policy": "round-robin", "concurrency": 4},
-            {"policy": "deficit", "concurrency": 3, "max_pending": 8},
+            {"policy": "round-robin"},
+            {"policy": "deficit", "max_pending": 8},
         ],
         ids=["round-robin", "deficit"],
     )
@@ -174,46 +163,13 @@ class TestServiceDeterminismContract:
     def test_sharing_actually_happened(self, fixture, churn_program):
         """The contract is interesting *because* artefacts were shared."""
         specs = [_tenant_spec(index) for index in range(self.N)]
-        fleet = _run_fleet(
-            fixture, specs, churn_program, policy="round-robin", concurrency=4
-        )
+        fleet = _run_fleet(fixture, specs, churn_program, policy="round-robin")
         catalog = fleet["__stats__"]["catalog"]
         # One tenant paid each compile; ninety-nine adopted it.
         assert catalog["delta_misses"] == 1
         assert catalog["delta_hits"] == self.N - 1
         assert catalog["subnet_hits"] > catalog["subnet_misses"]
         assert catalog["fill_hits"] > 0
-
-
-class TestServicePoolDeterminism:
-    def test_fleet_over_worker_pool_matches_solo_runs(
-        self, fixture, churn_program
-    ):
-        """The shared process pool is placement-invariant too."""
-        specs = [
-            ScenarioSpec(
-                strategy=STRATEGIES[index % len(STRATEGIES)],
-                seed=SEED + 100 * index,
-                sharded=True,
-                shard_parallel=2,
-                target_samples=TARGET_SAMPLES,
-            )
-            for index in range(4)
-        ]
-        solo = [
-            _run_solo(fixture, spec, churn_program) for spec in specs
-        ]
-        fleet = _run_fleet(
-            fixture,
-            specs,
-            churn_program,
-            workers=2,
-            policy="round-robin",
-            concurrency=4,
-        )
-        for index, fingerprint in enumerate(solo):
-            assert fleet[f"t{index}"] == fingerprint
-        assert fleet["__stats__"]["pool"]["submitted"] > 0
 
 
 class TestCrowdServiceDeterminism:
@@ -250,9 +206,8 @@ class TestCrowdServiceDeterminism:
             for _ in range(2):
                 session.round()
             solo.append(crowd_fingerprint(session))
-            _close_store(session)
 
-        with ReconciliationService(concurrency=3) as service:
+        with ReconciliationService() as service:
             sessions = {}
             for index, spec in enumerate(specs):
                 name = f"t{index}"

@@ -229,24 +229,6 @@ class TestShardPlan:
 
 
 class TestShardedStoreMechanics:
-    def test_parallel_refill_bit_identical(self, fixture):
-        sequential = ShardedSampleStore(
-            fixture.network, rng=random.Random(9), target_samples=64
-        )
-        parallel = ShardedSampleStore(
-            fixture.network,
-            rng=random.Random(9),
-            target_samples=64,
-            fill=False,
-        )
-        parallel.refill(parallel=2)
-        assert np.array_equal(
-            sequential.probability_vector(), parallel.probability_vector()
-        )
-        for a, b in zip(sequential.shards, parallel.shards):
-            assert a.store.get_state() == b.store.get_state()
-            assert a.store.sampler.get_state() == b.store.sampler.get_state()
-
     def test_enumerating_store_exhausts_small_spaces(self, fixture):
         store = ShardedSampleStore(
             fixture.network, rng=random.Random(0), target_samples=64
