@@ -8,7 +8,9 @@ whole refill's worth of emissions in a handful of numpy waves.  The gate
 below enforces the PR-4 acceptance bar — ≥3× over the sequential scan on
 the conflict-dense reference network (24 schemas / 1500 candidates / 186
 violations) — after asserting bit-for-bit parity of the deterministic
-schedules.
+schedules.  A slow bench also times one refill on the WebForm network of
+the repository benchmark's ``paper-ig`` workload (6790 candidates, 6964
+violations), where the kernel's cost lives.
 """
 
 from __future__ import annotations
@@ -22,10 +24,15 @@ import pytest
 
 from repro.core import InstanceSampler
 from repro.core.repair import greedy_maximalize_mask, wave_maximalize_batch
+from repro.experiments.harness import build_fixture
 from test_bench_reconciliation import reference_fixture, small_fixture
 
 #: One refill's worth of emissions on the reference network.
 REFILL_EMISSIONS = 250
+
+#: One refill's worth of walk states on paper-ig's WebForm network (its
+#: refills top 250 samples back up from the ~70 that survive an assertion).
+WEBFORM_REFILL_STATES = 180
 
 
 def _emission_inputs(fixture, n_states: int, seed: int):
@@ -99,6 +106,23 @@ def test_bench_emission_wave_reference(benchmark):
     """The wave side of the gate, tracked in BENCH_kernels.json."""
     engine, states, allowed, _ = _emission_inputs(
         reference_fixture(), REFILL_EMISSIONS, 3
+    )
+    np_rng = np.random.default_rng(9)
+    masks = benchmark(
+        wave_maximalize_batch, engine, states, allowed, np_rng=np_rng
+    )
+    _assert_valid_emissions(engine, allowed, masks)
+
+
+@pytest.mark.slow
+def test_bench_emission_wave_webform(benchmark):
+    """One refill on paper-ig's network: WebForm at scale 0.5, corpus seed
+    3, ``coma_like`` matchers."""
+    fixture = build_fixture(
+        corpus_name="WebForm", scale=0.5, seed=3, pipeline="coma_like"
+    )
+    engine, states, allowed, _ = _emission_inputs(
+        fixture, WEBFORM_REFILL_STATES, 3
     )
     np_rng = np.random.default_rng(9)
     masks = benchmark(

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI entrypoint: byte-compile the package, import/dead-store lint,
-# the fast test profile, then the
+# the fast test profile, the shard-parity and chaos smokes, the perfbench
+# self-test, then the
 # src/repro/{core,crowd,analysis,durability,shard,service} line-coverage
 # floors (stdlib settrace tracer over the deterministic test files — the
 # container ships no coverage.py).
@@ -26,6 +27,10 @@ python -m pytest -q "tests/test_shard_equivalence.py::TestTraceEquivalence::test
 # Durability: crash at every round boundary of a seeded crowd run, recover
 # from checkpoint + journal, require a bit-identical final trace.
 python scripts/chaos_smoke.py
+# Benchmark harness self-test on toy inputs (not in the default testpaths).
+# Its traced runs patch entry points inside src/repro, so a change that
+# removes one fails here rather than in a benchmark run.
+python -m pytest perfbench -q
 # The traced floor re-runs the deterministic core test files; the overlap
 # with the plain pass above is deliberate — the plain pass is the exact
 # tier-1 gate profile (all tests, no tracer), the floor is a coverage

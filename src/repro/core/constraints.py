@@ -28,9 +28,8 @@ that index space.  All hot kernels (the sampler's walk, ``repair``,
 * a violation is active in ``mask`` iff ``vmask & mask == vmask``;
 * per-index structures split violations into *pair partners* (size-2
   violations collapse into one partner mask, so "does adding i activate a
-  pair?" is ``mask & pair_partners[i]``) and larger violations, which are
-  scanned either directly or via a SWAR block-scan that tests every
-  violation involving an index in O(words) big-int operations;
+  pair?" is ``mask & pair_partners[i]``) and larger violations, whose
+  masks are scanned directly;
 * a numpy row table of (member, others…) pairs supports a vectorised
   "blocked" pre-filter that lets ``greedy_maximalize`` discard almost all
   unaddable candidates in a handful of array operations.
@@ -278,10 +277,6 @@ class MutualExclusionConstraint(Constraint):
         return frozenset().union(*self.exclusions)
 
 
-#: Below this many size-≥3 violations per index, a plain loop over the
-#: violation masks beats the SWAR block-scan's fixed big-int overhead.
-_SWAR_MIN_VIOLATIONS = 9
-
 _WORD = 0xFFFFFFFFFFFFFFFF
 
 
@@ -344,29 +339,33 @@ class WaveTables:
     rows are harmless under ``all()`` reductions.
 
     * ``dep_src``/``dep_dst`` list, row by row, every (candidate, violation
-      partner) arc; ``dep_tie`` breaks equal priorities deterministically
-      (the lower compact index wins).  Arcs are grouped by ``dep_src`` so
-      the per-candidate "some arc fired" OR is one
-      ``np.bitwise_or.reduceat`` over ``dep_starts`` (the kernel packs the
-      emission axis into uint8 bit-lanes, which makes the reduction rows a
-      few dozen bytes); group ``g`` belongs to candidate ``dep_group[g]``.
-    * ``blk_others`` rows mirror the engine's blocked pre-filter:
-      ``blk_others[r]`` holds the co-members of one violation through a
-      candidate, padded with the sentinel ``m``; the candidate is blocked
-      when some row's co-members are all selected.  Rows are grouped by
-      member (``blk_starts``/``blk_group``) exactly like the dependency
-      side.
+      partner) arc.  Arcs are grouped by ``dep_src`` so the per-candidate
+      "some arc fired" OR is one ``np.bitwise_or.reduceat`` over
+      ``dep_starts`` (the kernel packs the emission axis into 64-bit
+      words, which makes the reduction rows a handful of words); group
+      ``g`` belongs to candidate ``dep_group[g]``.  Arcs come in
+      (a, b)/(b, a) pairs: ``dep_fwd`` indexes the arcs with
+      ``dep_src < dep_dst`` and ``dep_rev[k]`` is the reverse arc of
+      ``dep_fwd[k]``, so the kernel compares each pair's priorities once.
+    * Blocking rows mirror the engine's blocked pre-filter: row ``r``
+      holds the co-members of one violation through a candidate, padded
+      with the sentinel ``m``, stored column-wise (``blk_columns[:, r]``)
+      so the kernel gathers each co-member position with one contiguous
+      index array.  The candidate is blocked when some row's co-members are
+      all selected.  Rows are grouped by member, and every conflicted
+      candidate is a member of some violation, so group ``k`` (from
+      ``blk_starts[k]``) belongs to candidate ``k``.
     """
 
     conflicted: np.ndarray  # (m,) engine indices of the conflicted candidates
     dep_src: np.ndarray  # (P,) compact candidate per dependency arc
     dep_dst: np.ndarray  # (P,) compact partner per dependency arc
-    dep_tie: np.ndarray  # (P, 1) bool, dst < src (tie-break: lower index first)
+    dep_fwd: np.ndarray  # (P/2,) arcs with dep_src < dep_dst
+    dep_rev: np.ndarray  # (P/2,) reverse arc of each dep_fwd arc
     dep_starts: np.ndarray  # (G,) reduceat group starts into the arcs
     dep_group: np.ndarray  # (G,) compact candidate of each arc group
-    blk_others: np.ndarray  # (R, W) compact co-member rows, sentinel-padded
-    blk_starts: np.ndarray  # (G2,) reduceat group starts into the rows
-    blk_group: np.ndarray  # (G2,) compact candidate of each row group
+    blk_columns: np.ndarray  # (W, R) compact co-members, sentinel-padded
+    blk_starts: np.ndarray  # (m,) reduceat group starts into the rows
 
 
 class ConstraintEngine:
@@ -442,8 +441,8 @@ class ConstraintEngine:
         of ``__init__`` is skipped entirely; the caller vouches that
         ``violations`` is exactly the deduplicated minimal-violation
         family of ``constraints`` over ``correspondences``.  Everything
-        downstream of discovery (the mask index space, SWAR tables, wave
-        CSR layouts) is recompiled, because removals renumber the bits.
+        downstream of discovery (the mask index space and the wave CSR
+        layouts) is recompiled, because removals renumber the bits.
         """
         engine = cls.__new__(cls)
         engine.constraints = tuple(constraints)
@@ -584,28 +583,6 @@ class ConstraintEngine:
                     break
                 conflict_union[i] |= vmask ^ bit
         self._conflict_union: tuple[int | None, ...] = tuple(conflict_union)
-
-        # SWAR block-scan tables for indices with many size-≥3 violations:
-        # the k others-masks of index i live in k blocks of width n+1 (bit n
-        # of each block is a borrow guard).  ``TO - (TO & cur*L)`` leaves a
-        # zero block exactly where all others are present in ``cur``, and
-        # ``((X | G) - L)`` clears the guard bit of exactly those blocks.
-        width = n + 1
-        swar: list[tuple[int, int, int, tuple[int, ...]] | None] = []
-        for i in range(n):
-            masks = self._large_vmasks[i]
-            if len(masks) < _SWAR_MIN_VIOLATIONS:
-                swar.append(None)
-                continue
-            bit = self.bits[i]
-            concat = ones = guards = 0
-            for j, vmask in enumerate(masks):
-                concat |= (vmask ^ bit) << (j * width)
-                ones |= 1 << (j * width)
-                guards |= 1 << (j * width + n)
-            swar.append((concat, ones, guards, masks))
-        self._swar = tuple(swar)
-        self._swar_width = width
 
         # Row table for the vectorised blocked pre-filter: one row per
         # (violation, member), listing the member index and its co-members
@@ -787,31 +764,29 @@ class ConstraintEngine:
                 row = [b for b in members if b != a]
                 row.extend([m] * (width - len(row)))
                 by_member[a].append(row)
-        blk_others: list[list[int]] = []
+        blk_rows: list[list[int]] = []
         blk_starts: list[int] = []
-        blk_group: list[int] = []
-        for a in range(m):
-            if not by_member[a]:
-                continue
-            blk_starts.append(len(blk_others))
-            blk_group.append(a)
-            blk_others.extend(by_member[a])
+        for rows in by_member:
+            blk_starts.append(len(blk_rows))
+            blk_rows.extend(rows)
+        src = np.asarray(dep_src, dtype=np.intp)
+        dst = np.asarray(dep_dst, dtype=np.intp)
+        # The arcs are sorted by (src, dst) and the arc set is symmetric, so
+        # sorting them by (dst, src) lists each arc's reverse in its place.
+        reverse = np.argsort(dst * m + src)
+        forward = np.flatnonzero(src < dst)
         return WaveTables(
             conflicted=conflicted,
-            dep_src=np.asarray(dep_src, dtype=np.intp),
-            dep_dst=np.asarray(dep_dst, dtype=np.intp),
-            dep_tie=np.asarray(
-                [d < s for s, d in zip(dep_src, dep_dst)], dtype=bool
-            ).reshape(-1, 1),
+            dep_src=src,
+            dep_dst=dst,
+            dep_fwd=forward,
+            dep_rev=reverse[forward],
             dep_starts=np.asarray(dep_starts, dtype=np.intp),
             dep_group=np.asarray(dep_group, dtype=np.intp),
-            blk_others=(
-                np.asarray(blk_others, dtype=np.intp)
-                if blk_others
-                else np.empty((0, width), dtype=np.intp)
+            blk_columns=np.ascontiguousarray(
+                np.asarray(blk_rows, dtype=np.intp).reshape(-1, width).T
             ),
             blk_starts=np.asarray(blk_starts, dtype=np.intp),
-            blk_group=np.asarray(blk_group, dtype=np.intp),
         )
 
     # ------------------------------------------------------------------
@@ -862,26 +837,11 @@ class ConstraintEngine:
                     b = hits & -hits
                     active.append(bit | b)
                     hits ^= b
-        swar = self._swar[index]
-        if swar is not None:
-            concat, ones, guards, vmasks = swar
-            replicated = concat & (mask * ones)
-            deficit = ((concat - replicated) | guards) - ones
-            zeros = guards ^ (guards & deficit)
-            if zeros:
-                if active is None:
-                    active = []
-                n, width = self.n, self._swar_width
-                while zeros:
-                    b = zeros & -zeros
-                    active.append(vmasks[(b.bit_length() - 1 - n) // width])
-                    zeros ^= b
-        else:
-            large = self._large_vmasks[index]
-            if large:
-                found = [vmask for vmask in large if vmask & mask == vmask]
-                if found:
-                    active = found if active is None else active + found
+        large = self._large_vmasks[index]
+        if large:
+            found = [vmask for vmask in large if vmask & mask == vmask]
+            if found:
+                active = found if active is None else active + found
         return active if active is not None else []
 
     def violation_masks_involving(self, index: int) -> list[int]:

@@ -38,6 +38,10 @@ from .correspondence import Correspondence
 #: engine's vectorised blocked pre-filter before the per-candidate scan.
 _PREFILTER_MIN_AVAIL = 24
 
+#: Priorities per gathered block when ``wave_maximalize_batch`` compares
+#: dependency arcs (32 768 float64 values, 256 KB per operand).
+_ARC_BLOCK = 1 << 15
+
 
 class UnrepairableError(ValueError):
     """Raised when violations persist among protected correspondences."""
@@ -305,29 +309,31 @@ def wave_maximalize_batch(
 ) -> list[int]:
     """Maximalise a whole batch of instances with priority waves.
 
-    The batched (Luby-style) counterpart of the scalar
-    :func:`greedy_maximalize_mask`: instead of scanning one emission's
-    conflicted availability sequentially, every emission draws a random
-    priority per conflicted candidate and candidates are admitted in numpy
-    *waves* — a candidate is decided as soon as every lower-priority
-    violation partner (the engine's :class:`~repro.core.constraints.WaveTables`
-    dependency arcs) has been decided, and admitted unless a violation would
-    complete against the already-admitted selection.  Violation-free
-    candidates are OR-ed in wholesale up front, exactly as the scalar kernel
-    does.
+    The batched counterpart of the scalar :func:`greedy_maximalize_mask`,
+    after the random-priority greedy maximal-independent-set schedule of
+    Blelloch, Fineman & Shun (*Greedy sequential maximal independent set
+    and matching are parallel on average*, SPAA 2012): instead of scanning
+    one emission's conflicted availability sequentially, every emission
+    draws a random priority per conflicted candidate and candidates are
+    admitted in numpy *waves* — a candidate is decided as soon as every
+    lower-priority violation partner (the engine's
+    :class:`~repro.core.constraints.WaveTables` dependency arcs) has been
+    decided, and admitted unless a violation would complete against the
+    already-admitted selection.  Violation-free candidates are OR-ed in
+    wholesale up front, exactly as the scalar kernel does.
 
     **Exactness.**  For a fixed priority assignment the wave schedule
     computes precisely the sequential greedy scan in increasing-priority
     order: when a candidate is decided, its selected violation partners are
     exactly the admitted lower-priority ones (higher-priority partners are
     still waiting on it), so every admission test sees the same selection
-    the sequential scan would.  Priority ties decide the lower index first
-    (``dep_tie``), mirroring an index-ordered scan.  With iid uniform
-    priorities per emission (``np_rng``) the induced scan order is a uniform
-    permutation of the conflicted availability — the same emission
-    distribution as the scalar kernel's ``np_rng.permutation`` path, with
-    the whole refill's emissions decided in a handful of array waves (the
-    dependency depth of random priorities is logarithmic).
+    the sequential scan would.  Priority ties decide the lower index first,
+    mirroring an index-ordered scan.  With iid uniform priorities per
+    emission (``np_rng``) the induced scan order is a uniform permutation
+    of the conflicted availability — the same emission distribution as the
+    scalar kernel's ``np_rng.permutation`` path, with the whole refill's
+    emissions decided in a handful of array waves (the dependency depth of
+    random priorities is logarithmic).
 
     ``instances`` are walk-state selection masks, all sampled under the same
     ``allowed`` mask (candidates minus F⁻).  ``priorities`` overrides the
@@ -350,19 +356,28 @@ def wave_maximalize_batch(
     m = len(conflicted)
     rows = engine.selection_matrix(base, sentinel=False)
     # Everything below runs transposed — (candidates, emissions) — with the
-    # emission axis packed into uint8 bit-lanes: a wave's boolean algebra
-    # over the whole batch is then a few kilobytes of byte ops, and the
-    # per-candidate group-ORs reduce rows a few dozen bytes wide.  Padding
-    # bit-lanes stay zero throughout (packbits zero-pads, and `live` only
-    # ever shrinks), so they never leak into real emissions.
-    lanes = (count + 7) // 8
-    sel = np.empty((m + 1, lanes), dtype=np.uint8)
-    sel[:m] = np.packbits(rows[:, conflicted].T, axis=1, bitorder="little")
-    sel[m] = 0xFF
+    # emission axis packed into 64-bit words: a wave's boolean algebra over
+    # the whole batch is a few word ops per candidate row, and the
+    # per-candidate group-ORs reduce rows of a handful of words.  Padding
+    # bits past ``count`` stay zero throughout (packbits zero-pads, `live`
+    # starts masked by ``pad`` and only ever shrinks, and the one
+    # complement below is re-masked), so they never leak into real
+    # emissions.
+    nbytes = (count + 7) // 8
+    words = (count + 63) // 64
+
+    def pack(flags: np.ndarray) -> np.ndarray:
+        """Pack bool rows along the emission axis into uint64 words."""
+        packed = np.zeros((len(flags), words * 8), dtype=np.uint8)
+        packed[:, :nbytes] = np.packbits(flags, axis=1, bitorder="little")
+        return packed.view(np.uint64)
+
+    sel = np.empty((m + 1, words), dtype=np.uint64)
+    sel[:m] = pack(rows[:, conflicted].T)
+    sel[m] = ~np.uint64(0)
+    pad = pack(np.ones((1, count), dtype=bool))[0]
     avail = engine.selection_array(allowed & engine.conflicted_mask)[:-1]
-    pad = np.packbits(np.ones(count, dtype=bool), bitorder="little")
-    live = np.where(avail[conflicted], 0xFF, 0).astype(np.uint8)[:, None]
-    live = (live & ~sel[:m]) & pad
+    live = np.where(avail[conflicted, None], pad, np.uint64(0)) & ~sel[:m]
     if priorities is not None:
         priorities = np.asarray(priorities, dtype=np.float64)
         if priorities.shape != (count, engine.n):
@@ -382,63 +397,44 @@ def wave_maximalize_batch(
         pri = np.broadcast_to(
             np.arange(m, dtype=np.float64)[:, None], (m, count)
         )
-    dep_src, dep_dst, dep_tie = tables.dep_src, tables.dep_dst, tables.dep_tie
-    dep_starts, dep_group = tables.dep_starts, tables.dep_group
-    blk_others, blk_starts, blk_group = (
-        tables.blk_others,
-        tables.blk_starts,
-        tables.blk_group,
-    )
-    # Per-group row counts, for restricting the blocking scan to the rows
-    # of still-live candidates as the waves drain the batch.
-    blk_sizes = np.diff(np.append(blk_starts, len(blk_others)))
-    # The priority comparison per dependency arc is wave-invariant: hoist
-    # it out of the loop and pack it into the same bit-lane layout.
-    if len(dep_src):
-        pri_dst = pri[dep_dst]
-        pri_src = pri[dep_src]
-        arc_wins = np.packbits(
-            (pri_dst < pri_src) | ((pri_dst == pri_src) & dep_tie),
-            axis=1,
-            bitorder="little",
+    # Arc wins — "the partner precedes the candidate" — are wave-invariant,
+    # so they are hoisted out of the loop.  Arcs come in (a, b)/(b, a)
+    # pairs: each pair is compared once, on its a < b side, with a strict
+    # ``pri[b] < pri[a]``; the reverse arc wins exactly when that one does
+    # not (a tie goes to the lower index a either way).
+    fwd, dep_dst = tables.dep_fwd, tables.dep_dst
+    fwd_src, fwd_dst = tables.dep_src[fwd], dep_dst[fwd]
+    # Compared a block of arcs at a time, so the two gathered priority
+    # blocks stay in cache instead of streaming P/2 × count floats.
+    before = np.empty((len(fwd), count), dtype=bool)
+    step = max(1, _ARC_BLOCK // count)
+    for lo in range(0, len(fwd), step):
+        np.less(
+            np.take(pri, fwd_dst[lo : lo + step], axis=0),
+            np.take(pri, fwd_src[lo : lo + step], axis=0),
+            out=before[lo : lo + step],
         )
+    fwd_wins = pack(before)
+    arc_wins = np.empty((len(dep_dst), words), dtype=np.uint64)
+    arc_wins[fwd] = fwd_wins
+    arc_wins[tables.dep_rev] = ~fwd_wins & pad
     while live.any():
         # Prune live candidates some violation already blocks: blocking is
         # monotone in the selection, so their fate (rejected) is known now —
         # deciding them early frees their partners from waiting on them
-        # without changing any admission test.  Only rows of *still-live*
-        # candidates are recomputed: a dead candidate's blocked bit can
-        # never strip anything from ``live`` again, so its rows drop out of
-        # the scan as the waves drain the batch (the tail waves touch a
-        # small fraction of the hypergraph).
-        if len(blk_others):
-            keep = (live.any(axis=1))[blk_group]
-            if keep.any():
-                if keep.all():
-                    row_idx: object = slice(None)
-                    starts, groups = blk_starts, blk_group
-                else:
-                    sizes = blk_sizes[keep]
-                    starts = np.zeros(len(sizes), dtype=np.intp)
-                    np.cumsum(sizes[:-1], out=starts[1:])
-                    row_idx = np.repeat(blk_starts[keep] - starts, sizes)
-                    row_idx += np.arange(len(row_idx), dtype=np.intp)
-                    groups = blk_group[keep]
-                live_others = blk_others[row_idx]
-                hit = sel[live_others[:, 0]]
-                for column in range(1, live_others.shape[1]):
-                    hit = hit & sel[live_others[:, column]]
-                blocked = np.zeros((m, lanes), dtype=np.uint8)
-                blocked[groups] = np.bitwise_or.reduceat(hit, starts, axis=0)
-                live &= ~blocked
+        # without changing any admission test.
+        hit = np.take(sel, tables.blk_columns[0], axis=0)
+        for column in tables.blk_columns[1:]:
+            hit &= np.take(sel, column, axis=0)
+        live &= ~np.bitwise_or.reduceat(hit, tables.blk_starts, axis=0)
         # Ready: every live lower-priority partner has been decided.
-        if len(dep_src):
-            cond = live[dep_dst] & arc_wins
-            waiting = np.zeros((m, lanes), dtype=np.uint8)
-            waiting[dep_group] = np.bitwise_or.reduceat(cond, dep_starts, axis=0)
-            ready = live & ~waiting
-        else:
-            ready = live
+        cond = np.take(live, dep_dst, axis=0)
+        cond &= arc_wins
+        waiting = np.zeros((m, words), dtype=np.uint64)
+        waiting[tables.dep_group] = np.bitwise_or.reduceat(
+            cond, tables.dep_starts, axis=0
+        )
+        ready = live & ~waiting
         # A live minimum-(priority, index) candidate is always ready (NaN,
         # the one float that breaks the argument, is rejected on input), so
         # the wave always makes progress; the guard is pure defence.
@@ -451,9 +447,9 @@ def wave_maximalize_batch(
         # admit them all.
         sel[:m] |= ready
         live &= ~ready
-    rows[:, conflicted] = (
-        np.unpackbits(sel[:m], axis=1, bitorder="little")[:, :count].T
-    )
+    rows[:, conflicted] = np.unpackbits(
+        sel[:m].view(np.uint8), axis=1, bitorder="little"
+    )[:, :count].T
     packed = np.packbits(rows, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 

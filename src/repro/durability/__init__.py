@@ -34,6 +34,7 @@ from .checkpoint import (
 from .faults import FaultPlan, RetryPolicy, SimulatedCrash
 from .journal import (
     COMMIT_TYPES,
+    CorruptJournalError,
     FeedbackJournal,
     JOURNAL_KIND,
     JournalReplayError,
@@ -52,6 +53,7 @@ __all__ = [
     "CHECKPOINT_FILE",
     "CHECKPOINT_KIND",
     "COMMIT_TYPES",
+    "CorruptJournalError",
     "FaultPlan",
     "FeedbackJournal",
     "JOURNAL_FILE",

@@ -46,6 +46,24 @@ class JournalReplayError(RuntimeError):
     """A re-executed transaction diverged from its journaled record."""
 
 
+class CorruptJournalError(FormatError):
+    """An unparseable journal line with further records after it.
+
+    Only the final line can be torn by a crash; damage anywhere else would
+    silently drop the committed records behind it, so recovery refuses.
+    ``line`` is the 1-based file line of the damage and ``last_seq`` the
+    ``seq`` of the last record parsed before it (0 if none).
+    """
+
+    def __init__(self, line: int, last_seq: int):
+        super().__init__(
+            f"journal line {line} is damaged and followed by further "
+            f"records (last good seq {last_seq})"
+        )
+        self.line = line
+        self.last_seq = last_seq
+
+
 class FeedbackJournal:
     """Append-only JSONL journal with fsync-before-integration semantics.
 
@@ -129,22 +147,28 @@ def read_journal(
     interrupted, whose effects were never integrated durably.  A trailing
     half-written line (torn by the crash mid-write) is tolerated and folded
     into the torn tail's count implicitly by being unparseable-and-ignored.
+    Only the final line can be torn: an unparseable line followed by any
+    non-empty line raises :class:`CorruptJournalError`.
     """
     lines = pathlib.Path(path).read_text().splitlines()
     if not lines:
         raise FormatError("empty journal file")
-    header = json.loads(lines[0])
+    header = _parse_record(lines[0])
     if (
-        header.get("kind") != JOURNAL_KIND
+        header is None
+        or header.get("kind") != JOURNAL_KIND
         or header.get("version") not in SUPPORTED_VERSIONS
     ):
         raise FormatError("not a feedback-journal file of a supported version")
     records: list[dict] = []
-    for line in lines[1:]:
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
+    for position, line in enumerate(lines[1:], start=1):
+        record = _parse_record(line)
+        if record is None:
+            if any(rest.strip() for rest in lines[position + 1 :]):
+                last_seq = records[-1].get("seq", 0) if records else 0
+                raise CorruptJournalError(position + 1, last_seq)
             break  # torn final line: the crash hit mid-write
+        records.append(record)
     last_commit = -1
     for position, record in enumerate(records):
         if record.get("type") in COMMIT_TYPES:
@@ -152,6 +176,15 @@ def read_journal(
     committed = records[: last_commit + 1]
     torn = records[last_commit + 1 :]
     return header, committed, torn
+
+
+def _parse_record(line: str) -> Optional[dict]:
+    """One journal line as a record, or ``None`` when it is not one."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    return record if isinstance(record, dict) else None
 
 
 def truncate_to_committed(

@@ -1,5 +1,7 @@
 """Unit tests for the constraint/violation engine."""
 
+import random
+
 import pytest
 
 from repro.core.constraints import (
@@ -14,6 +16,8 @@ from repro.core.constraints import (
 from repro.core.graphs import complete_graph, path_graph, ring_graph
 from repro.core.schema import Schema
 from repro.core.correspondence import correspondence
+from repro.core.repair import greedy_maximalize_mask
+from repro.experiments.harness import build_fixture
 
 
 @pytest.fixture
@@ -267,6 +271,49 @@ class TestConstraintEngine:
     def test_engine_repr(self, movie_engine):
         assert "5 correspondences" in repr(movie_engine)
         assert "4 minimal violations" in repr(movie_engine)
+
+
+class TestActiveViolationProbe:
+    """``mask_active_violations`` against a brute-force scan of every
+    compiled violation, on conflict-dense real-corpus networks (up to 42
+    size-3 violations per index)."""
+
+    @pytest.mark.parametrize(
+        "corpus, scale", [("BP", 1.0), ("WebForm", 0.2)]
+    )
+    def test_matches_brute_force_scan(self, corpus, scale):
+        engine = build_fixture(
+            corpus_name=corpus, scale=scale, seed=3, pipeline="coma_like"
+        ).network.engine
+        assert max(len(masks) for masks in engine._large_vmasks) >= 9
+        rng = random.Random(17)
+        probes = hits = 0
+        for _ in range(8):
+            # Maximal instances and random subsets of them: all consistent.
+            maximal = greedy_maximalize_mask(engine, 0, engine.full_mask, rng=rng)
+            subset = sum(
+                engine.bits[i] for i in range(engine.n)
+                if maximal >> i & 1 and rng.random() < 0.7
+            )
+            assert engine.mask_is_consistent(subset)
+            for mask in (maximal, subset):
+                for index in range(engine.n):
+                    bit = engine.bits[index]
+                    grown = mask | bit
+                    active = [
+                        vmask for vmask in engine.violation_masks
+                        if vmask & bit and vmask & grown == vmask
+                    ]
+                    pairs = sorted(
+                        (v for v in active if v.bit_count() == 2),
+                        key=lambda vmask: vmask ^ bit,
+                    )
+                    large = [v for v in active if v.bit_count() != 2]
+                    expected = pairs + large
+                    assert engine.mask_active_violations(grown, index) == expected
+                    probes += 1
+                    hits += len(expected) > 1
+        assert probes and hits
 
 
 class TestCompileValidation:

@@ -19,6 +19,7 @@ import pytest
 from test_crowd import GOLDEN_UNCERTAINTIES, GOLDEN_VERDICTS
 
 from repro.durability import (
+    CorruptJournalError,
     FaultPlan,
     FeedbackJournal,
     JournalReplayError,
@@ -247,6 +248,27 @@ class TestJournal:
         resumed.expect(committed)
         with pytest.raises(JournalReplayError, match="diverged"):
             resumed.append({"type": "question", "x": 2})
+
+    def test_mid_file_damage_is_not_a_torn_tail(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = FeedbackJournal.create(path, "expert")
+        journal.append({"type": "assertion", "step": 1})
+        journal.append({"type": "step-commit", "step": 1})
+        journal.append({"type": "assertion", "step": 2})
+        journal.append({"type": "step-commit", "step": 2})
+        lines = path.read_text().splitlines()
+        for garbled in ('{"seq": 3, "type": "asse', "17", ""):
+            damaged = lines[:3] + [garbled] + lines[4:]
+            path.write_text("\n".join(damaged) + "\n")
+            with pytest.raises(CorruptJournalError, match="line 4") as info:
+                read_journal(path)
+            assert (info.value.line, info.value.last_seq) == (4, 2)
+            assert isinstance(info.value, FormatError)
+        # The same damage on the final line is a torn tail, even when blank
+        # lines follow it.
+        path.write_text("\n".join(lines[:4] + ['{"seq": 4, "ty', "", ""]))
+        _, committed, torn = read_journal(path)
+        assert [r["seq"] for r in committed] == [1, 2] and len(torn) == 1
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "not_a_journal.jsonl"
@@ -528,6 +550,25 @@ class TestCrashRecoveryEquivalence:
         assert crowd_trace_tuple(recovered.trace) == crowd_trace_tuple(
             golden_session.trace
         )
+
+    def test_recovery_refuses_mid_file_damage(self, tmp_path):
+        """A garbled line with committed records behind it used to be read
+        as a torn tail: ``recover`` cut the journal there and dropped every
+        committed transaction after it, reporting one discarded record."""
+        directory = tmp_path / "garbled"
+        session = build_session(small_fixture(), expert_spec())
+        run_durable(session, directory, budget=20)
+        journal_path = directory / "journal.jsonl"
+        lines = journal_path.read_text().splitlines()
+        assert len(lines) == 41
+        assert json.loads(lines[18])["seq"] == 18
+        lines[19] = lines[19][: len(lines[19]) // 2]
+        journal_path.write_text("\n".join(lines) + "\n")
+        damaged = journal_path.read_bytes()
+        with pytest.raises(CorruptJournalError, match="line 20") as info:
+            recover(directory)
+        assert (info.value.line, info.value.last_seq) == (20, 18)
+        assert journal_path.read_bytes() == damaged
 
     def test_redo_divergence_raises(self, tmp_path):
         spec = crowd_spec(seed=2)

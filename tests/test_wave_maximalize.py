@@ -9,7 +9,9 @@ Three layers pin ``wave_maximalize_batch`` to the scalar reference:
 2. **Fixed-priority parity** — for an explicit priority matrix the result
    must equal the sequential greedy scan in increasing-priority order
    (ties: lower index first), instance by instance.  This is the exactness
-   claim the wave schedule rests on.
+   claim the wave schedule rests on.  It is checked on random networks and
+   on a real-corpus network with pair and triangle violations, at batch
+   sizes on both sides of the kernel's 64-emission word boundaries.
 3. **Emission invariants** (property-based) — every emitted instance is
    consistent (violation-free) and maximal modulo the disapproved set, on
    random networks and random walk states, for random priorities.
@@ -33,7 +35,9 @@ from repro.core import (
     correspondence,
     wave_maximalize_batch,
 )
+from repro.core.constraints import mask_indices
 from repro.core.repair import greedy_maximalize_mask
+from repro.experiments.harness import build_fixture
 
 common_settings = settings(
     max_examples=25,
@@ -159,14 +163,88 @@ class TestFixedPriorityParity:
         inconsistent instance."""
         engine = movie_network.engine
         states, allowed = _walk_batch(movie_network, 1, count=3)
-        from repro.core.constraints import mask_indices
-
         priorities = np.zeros((len(states), engine.n))
         priorities[0, mask_indices(engine.conflicted_mask)[0]] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             wave_maximalize_batch(
                 engine, states, allowed, priorities=priorities
             )
+
+
+_WEBFORM: dict = {}
+
+
+def webform_network():
+    """WebForm at scale 0.2 (corpus seed 3) under ``coma_like``: 224
+    candidates with 13 pair and 98 triangle violations."""
+    if "network" not in _WEBFORM:
+        _WEBFORM["network"] = build_fixture(
+            corpus_name="WebForm", scale=0.2, seed=3, pipeline="coma_like"
+        ).network
+    return _WEBFORM["network"]
+
+
+def _webform_batch(count, disapproved):
+    """``count`` walk states on the WebForm network, optionally under an F⁻
+    of every fifth conflicted candidate."""
+    network = webform_network()
+    engine = network.engine
+    feedback = Feedback(
+        disapproved=[
+            engine.correspondences[index]
+            for index in mask_indices(engine.conflicted_mask)[::5]
+        ]
+        if disapproved
+        else ()
+    )
+    sampler = InstanceSampler(network, rng=random.Random(count))
+    return engine, *sampler.walk_states(count, feedback)
+
+
+class TestWordBoundaryParity:
+    """Fixed-priority parity across the 64-emission word boundaries."""
+
+    def test_network_has_pairs_and_triangles(self):
+        sizes = {len(violation) for violation in webform_network().engine.violations}
+        assert sizes == {2, 3}
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    @pytest.mark.parametrize("disapproved", [False, True], ids=["F-empty", "F-"])
+    def test_matches_priority_order_scan(self, count, tied, disapproved):
+        engine, states, allowed = _webform_batch(count, disapproved)
+        rng = np.random.default_rng(count)
+        priorities = rng.random((count, engine.n))
+        if tied:
+            # Integer priorities 0..7 over ~100 conflicted candidates: most
+            # rows carry many ties, which the lower index must win.
+            priorities = np.floor(priorities * 8)
+        batched = wave_maximalize_batch(
+            engine, states, allowed, priorities=priorities
+        )
+        assert len(batched) == count
+        for state, row, mask in zip(states, priorities, batched):
+            assert mask == _sequential_priority_scan(engine, state, allowed, row)
+            assert not (mask & ~allowed)
+
+    @pytest.mark.parametrize("count", [1, 64, 65])
+    def test_random_draw_is_one_priority_block(self, count):
+        """``np_rng`` draws one ``(conflicted, count)`` block per call and
+        uses it exactly as the explicit ``priorities`` override would."""
+        engine, states, allowed = _webform_batch(count, True)
+        conflicted = mask_indices(engine.conflicted_mask)
+        batched = wave_maximalize_batch(
+            engine, states, allowed, np_rng=np.random.default_rng(5)
+        )
+        replay = np.random.default_rng(5)
+        priorities = np.zeros((count, engine.n))
+        priorities[:, conflicted] = replay.random((len(conflicted), count)).T
+        assert batched == wave_maximalize_batch(
+            engine, states, allowed, priorities=priorities
+        )
+        drawn = np.random.default_rng(5)
+        wave_maximalize_batch(engine, states, allowed, np_rng=drawn)
+        assert drawn.bit_generator.state == replay.bit_generator.state
 
 
 class TestEmissionInvariants:
