@@ -33,6 +33,7 @@ BENCH_FILES = (
     "benchmarks/test_bench_checkpoint.py",
     "benchmarks/test_bench_shard.py",
     "benchmarks/test_bench_churn.py",
+    "benchmarks/test_bench_compile.py",
     "benchmarks/test_bench_service.py",
 )
 

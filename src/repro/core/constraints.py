@@ -45,7 +45,15 @@ import abc
 import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Collection,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
 import numpy as np
 
@@ -102,6 +110,23 @@ class Constraint(abc.ABC):
     ) -> Iterator[Violation]:
         """Yield every minimal violating subset among ``correspondences``."""
 
+    def violations_through(
+        self,
+        correspondences: Sequence[Correspondence],
+        graph: InteractionGraph,
+        through: Optional[Collection[tuple[str, str]]] = None,
+    ) -> Iterator[Violation]:
+        """Yield the minimal violations with a member on a schema-pair edge
+        of ``through`` (every minimal violation when ``None``).
+
+        This is the question :func:`discover_violations` asks: a compile
+        anchors on every edge, a delta on the edges its added candidates
+        span.  The default ignores ``through`` and yields every minimal
+        violation — a superset, which the delta filters; the structural
+        constraints override it to do only the anchored work.
+        """
+        return self.minimal_violations(correspondences, graph)
+
     def is_satisfied_by(
         self,
         selection: Iterable[Correspondence],
@@ -154,6 +179,19 @@ class OneToOneConstraint(Constraint):
                 for right in members[i + 1 :]:
                     yield Violation(self.name, frozenset((left, right)))
 
+    def violations_through(
+        self,
+        correspondences: Sequence[Correspondence],
+        graph: InteractionGraph,
+        through: Optional[Collection[tuple[str, str]]] = None,
+    ) -> Iterator[Violation]:
+        # Both members of a violation span the same schema pair.
+        if through is not None:
+            correspondences = [
+                corr for corr in correspondences if corr.schema_pair in through
+            ]
+        return self.minimal_violations(correspondences, graph)
+
 
 class CycleConstraint(Constraint):
     """Matched attributes along a schema cycle must close the cycle.
@@ -164,12 +202,29 @@ class CycleConstraint(Constraint):
     one end and disagrees at the other contradicts the composition.  Those
     chain-plus-closing-edge sets are the minimal violations.
 
-    ``max_cycle_length`` bounds which cycles of the interaction graph are
-    checked; 3 (triangles) is the default and matches the structures the
-    paper's complete interaction graphs are dominated by.
+    Only cycles of the interaction graph whose every edge carries a
+    candidate can hold a violation, so the cycles come from
+    :meth:`InteractionGraph.cycles` over those edges.  A violating set has
+    exactly one *disagreeing* corner, and a rotation of the cycle only finds
+    it when that corner is an endpoint of the rotation's closing edge.
+    Rotation r (the cycle started at its r-th node) closes over the edge
+    between corners r−1 and r, so rotations 0…k−2 reach every corner and
+    rotation k−1 never finds a new violation.  Within one cycle the
+    violations come rotation by rotation, chains in candidate order, then
+    closing correspondences in candidate order; the first sighting wins.
+
+    ``max_cycle_length`` (an ``int`` ≥ 3) bounds which cycles of the
+    interaction graph are checked; 3 (triangles) is the default and matches
+    the structures the paper's complete interaction graphs are dominated by.
     """
 
     def __init__(self, max_cycle_length: int = 3):
+        if isinstance(max_cycle_length, bool) or not isinstance(
+            max_cycle_length, int
+        ):
+            raise TypeError(
+                f"max_cycle_length must be an int, not {max_cycle_length!r}"
+            )
         if max_cycle_length < 3:
             raise ValueError("cycles have length >= 3")
         self.max_cycle_length = max_cycle_length
@@ -181,63 +236,98 @@ class CycleConstraint(Constraint):
         correspondences: Sequence[Correspondence],
         graph: InteractionGraph,
     ) -> Iterator[Violation]:
+        return self.violations_through(correspondences, graph)
+
+    def violations_through(
+        self,
+        correspondences: Sequence[Correspondence],
+        graph: InteractionGraph,
+        through: Optional[Collection[tuple[str, str]]] = None,
+    ) -> Iterator[Violation]:
         by_edge: dict[tuple[str, str], list[Correspondence]] = {}
         for corr in correspondences:
             by_edge.setdefault(corr.schema_pair, []).append(corr)
-        seen: set[frozenset[Correspondence]] = set()
-        for cycle in graph.cycles(max_length=self.max_cycle_length):
-            # A violating set has exactly one *disagreeing* corner; the
-            # chain construction below only finds it when that corner is an
-            # endpoint of the closing edge, so every rotation of the cycle
-            # must be tried (each violation is then found from the two
-            # rotations that flank its disagreeing corner — dedupe).
-            for rotation in range(len(cycle)):
-                rotated = cycle[rotation:] + cycle[:rotation]
-                for violation in self._cycle_violations(rotated, by_edge):
-                    if violation.correspondences not in seen:
-                        seen.add(violation.correspondences)
-                        yield violation
+        bearing = InteractionGraph(
+            edges=[edge for edge in by_edge if graph.has_edge(*edge)]
+        )
+        # Endpoint index, built per (edge, schema) only when a cycle needs
+        # it: the attribute in ``schema`` → (position on the edge,
+        # correspondence, its other endpoint), in candidate order.
+        index: dict[tuple[tuple[str, str], str], dict] = {}
 
-    def _cycle_violations(
-        self,
+        def endpoints(edge: tuple[str, str], schema: str) -> dict:
+            table = index.get((edge, schema))
+            if table is None:
+                table = index[(edge, schema)] = {}
+                for position, corr in enumerate(by_edge[edge]):
+                    if corr.source.schema == schema:
+                        here, there = corr.source, corr.target
+                    else:
+                        here, there = corr.target, corr.source
+                    table.setdefault(here, []).append((position, corr, there))
+            return table
+
+        seen: set[frozenset[Correspondence]] = set()
+        for cycle in bearing.cycles(self.max_cycle_length, through=through):
+            # edges[i] joins cycle[i] and cycle[i + 1] (cyclically).
+            edges = [
+                tuple(sorted(pair)) for pair in zip(cycle, cycle[1:] + cycle[:1])
+            ]
+            for rotation in range(len(cycle) - 1):
+                for members in self._rotation_violations(
+                    cycle[rotation:] + cycle[:rotation],
+                    edges[rotation:] + edges[:rotation],
+                    by_edge,
+                    endpoints,
+                ):
+                    if members not in seen:
+                        seen.add(members)
+                        yield Violation(self.name, members)
+
+    @staticmethod
+    def _rotation_violations(
         cycle: tuple[str, ...],
+        edges: list[tuple[str, str]],
         by_edge: dict[tuple[str, str], list[Correspondence]],
-    ) -> Iterator[Violation]:
-        """Enumerate violations whose disagreeing corner flanks the closing
-        edge (cycle[0]–cycle[k-1]) of this cycle rotation."""
+        endpoints,
+    ) -> Iterator[frozenset[Correspondence]]:
+        """Violations whose disagreeing corner flanks the closing edge
+        (cycle[0]–cycle[k-1]) of this cycle rotation."""
         k = len(cycle)
-        edges = [tuple(sorted((cycle[i], cycle[(i + 1) % k]))) for i in range(k)]
-        if any(edge not in by_edge for edge in edges):
-            return
-        # Build every chain along edges 0..k-2, i.e. correspondences that
-        # compose through the interior schemas cycle[1..k-1].
-        chains: list[list[Correspondence]] = [[corr] for corr in by_edge[edges[0]]]
+        first, last = cycle[0], cycle[k - 1]
+        # Chains along edges 0..k-2 — correspondences that compose through
+        # the interior schemas — as (members, start attribute, tail
+        # attribute), joined through the endpoint index.
+        chains = []
+        for corr in by_edge[edges[0]]:
+            if corr.source.schema == first:
+                chains.append(([corr], corr.source, corr.target))
+            else:
+                chains.append(([corr], corr.target, corr.source))
         for step in range(1, k - 1):
-            junction = cycle[step]
-            extended: list[list[Correspondence]] = []
-            for chain in chains:
-                tail = chain[-1].endpoint_in(junction)
-                for corr in by_edge[edges[step]]:
-                    if corr.endpoint_in(junction) == tail:
-                        extended.append(chain + [corr])
-            chains = extended
+            table = endpoints(edges[step], cycle[step])
+            chains = [
+                (members + [corr], start, there)
+                for members, start, tail in chains
+                for _, corr, there in table.get(tail, ())
+            ]
             if not chains:
                 return
-        closing_edge = edges[k - 1]
-        first_schema, last_schema = cycle[0], cycle[k - 1]
-        for chain in chains:
-            chain_start = chain[0].endpoint_in(first_schema)
-            chain_end = chain[-1].endpoint_in(last_schema)
-            for closing in by_edge[closing_edge]:
-                start_agrees = closing.endpoint_in(first_schema) == chain_start
-                end_agrees = closing.endpoint_in(last_schema) == chain_end
-                # Exactly one agreeing end => the composition contradicts the
-                # direct correspondence.  Both agreeing => closed cycle (ok);
-                # neither => unrelated (no contradiction, not minimal).
-                if start_agrees != end_agrees:
-                    members = frozenset(chain) | {closing}
-                    if len(members) == k:  # guard against degenerate reuse
-                        yield Violation(self.name, members)
+        at_first = endpoints(edges[k - 1], first)
+        at_last = endpoints(edges[k - 1], last)
+        for members, start, end in chains:
+            # A closing correspondence agreeing at exactly one end
+            # contradicts the composition; agreeing at both closes the
+            # cycle and agreeing at neither is unrelated.
+            contradicting = [
+                hit for hit in at_first.get(start, ()) if hit[2] != end
+            ]
+            contradicting += [
+                hit for hit in at_last.get(end, ()) if hit[2] != start
+            ]
+            contradicting.sort(key=lambda hit: hit[0])
+            for _, corr, _ in contradicting:
+                yield frozenset(members + [corr])
 
 
 class MutualExclusionConstraint(Constraint):
@@ -278,6 +368,43 @@ class MutualExclusionConstraint(Constraint):
 
 
 _WORD = 0xFFFFFFFFFFFFFFFF
+
+
+def discover_violations(
+    constraints: Sequence[Constraint],
+    correspondences: Sequence[Correspondence],
+    graph: InteractionGraph,
+    through: Optional[Collection[tuple[str, str]]] = None,
+) -> tuple[list[Violation], list[list[int]]]:
+    """The deduplicated minimal violations of ``constraints`` with a member
+    on a schema-pair edge of ``through``, and each one's contributors.
+
+    The one discovery loop of the engine: a compile asks for every edge
+    (``through=None``), a delta (:mod:`repro.core.delta`) for the edges its
+    added candidates span.  Violations come constraint by constraint, each
+    in its own order; ``sources[i]`` lists the positions (into
+    ``constraints``) of every constraint that yielded ``violations[i]``.
+    """
+    seen: dict[frozenset[Correspondence], int] = {}
+    violations: list[Violation] = []
+    sources: list[list[int]] = []
+    for position, constraint in enumerate(constraints):
+        for violation in constraint.violations_through(
+            correspondences, graph, through
+        ):
+            slot = seen.get(violation.correspondences)
+            if slot is None:
+                seen[violation.correspondences] = len(violations)
+                violations.append(violation)
+                sources.append([position])
+            else:
+                # Duplicate registration: the same minimal violation
+                # contributed a second time (by another constraint, or by
+                # one declaring the same exclusion twice).  The engine
+                # dedupes (so masks stay correct) but remembers every
+                # contribution.
+                sources[slot].append(position)
+    return violations, sources
 
 
 def kth_set_bit(mask: int, k: int) -> int:
@@ -392,35 +519,9 @@ class ConstraintEngine:
     ):
         self.constraints = tuple(constraints)
         self.correspondences = tuple(correspondences)
-        seen: dict[frozenset[Correspondence], int] = {}
-        violations: list[Violation] = []
-        sources: list[list[int]] = []
-        for position, constraint in enumerate(self.constraints):
-            for violation in constraint.minimal_violations(self.correspondences, graph):
-                slot = seen.get(violation.correspondences)
-                if slot is None:
-                    seen[violation.correspondences] = len(violations)
-                    violations.append(violation)
-                    sources.append([position])
-                else:
-                    # Duplicate registration: the same minimal violation
-                    # contributed a second time (by another constraint, or by
-                    # one declaring the same exclusion twice).  The engine
-                    # dedupes (so masks stay correct) but remembers every
-                    # contribution.
-                    sources[slot].append(position)
-        self.violations: tuple[Violation, ...] = tuple(violations)
-        #: per-violation tuple of indices into ``self.constraints`` that
-        #: contributed it (len > 1 marks a duplicate registration)
-        self.violation_sources: tuple[tuple[int, ...], ...] = tuple(
-            tuple(contributors) for contributors in sources
+        self._adopt(
+            *discover_violations(self.constraints, self.correspondences, graph)
         )
-        self._involving: dict[Correspondence, list[Violation]] = {
-            corr: [] for corr in self.correspondences
-        }
-        for violation in self.violations:
-            for corr in violation:
-                self._involving.setdefault(corr, []).append(violation)
         if validate:
             self._validate_compilation()
         self._compile_index_space()
@@ -436,27 +537,35 @@ class ConstraintEngine:
         """Compile an engine from an externally-assembled violation family.
 
         The delta pipeline (:mod:`repro.core.delta`) carries surviving
-        violations over from a predecessor engine and discovers only the
-        ones a change could have created, so the expensive discovery loop
-        of ``__init__`` is skipped entirely; the caller vouches that
-        ``violations`` is exactly the deduplicated minimal-violation
-        family of ``constraints`` over ``correspondences``.  Everything
+        violations over from a predecessor engine and runs
+        :func:`discover_violations` anchored on the delta's edges only;
+        the caller vouches that ``violations`` is exactly the deduplicated
+        minimal-violation family of ``constraints`` over
+        ``correspondences``.  Everything
         downstream of discovery (the mask index space and the wave CSR
         layouts) is recompiled, because removals renumber the bits.
         """
         engine = cls.__new__(cls)
         engine.constraints = tuple(constraints)
         engine.correspondences = tuple(correspondences)
-        engine.violations = tuple(violations)
-        engine.violation_sources = tuple(
-            tuple(contributors) for contributors in sources
-        )
-        engine._involving = {corr: [] for corr in engine.correspondences}
-        for violation in engine.violations:
-            for corr in violation:
-                engine._involving.setdefault(corr, []).append(violation)
+        engine._adopt(violations, sources)
         engine._compile_index_space()
         return engine
+
+    def _adopt(
+        self, violations: Sequence[Violation], sources: Sequence[Sequence[int]]
+    ) -> None:
+        self.violations: tuple[Violation, ...] = tuple(violations)
+        #: per-violation tuple of indices into ``self.constraints`` that
+        #: contributed it (len > 1 marks a duplicate registration)
+        self.violation_sources: tuple[tuple[int, ...], ...] = tuple(
+            tuple(contributors) for contributors in sources
+        )
+        # Conflicted candidates only: lookups default to no violations.
+        self._involving: dict[Correspondence, list[Violation]] = {}
+        for violation in self.violations:
+            for corr in violation:
+                self._involving.setdefault(corr, []).append(violation)
 
     def _validate_compilation(self) -> None:
         """Warn about silently mis-compiled constraint registrations.
@@ -517,8 +626,10 @@ class ConstraintEngine:
 
         # Canonical rank per index — repair's deterministic tie-break removes
         # the canonically smallest correspondence, which is not the smallest
-        # index (indices follow candidate insertion order).
-        order = sorted(range(n), key=lambda i: self.correspondences[i])
+        # index (indices follow candidate insertion order).  Sorting on the
+        # comparison key builds one tuple per candidate, not two per compare.
+        correspondences = self.correspondences
+        order = sorted(range(n), key=lambda i: correspondences[i]._key())
         rank = [0] * n
         for position, i in enumerate(order):
             rank[i] = position
@@ -537,7 +648,7 @@ class ConstraintEngine:
         # Per-index split: size-2 violations collapse into one partner mask;
         # larger violations keep their full masks for scanning.
         pair_partners = [0] * n
-        large: list[list[int]] = [[] for _ in range(n)]
+        large: dict[int, list[int]] = {}
         for vmask in vmasks:
             remaining = vmask
             while remaining:
@@ -548,10 +659,10 @@ class ConstraintEngine:
                 if others.bit_count() == 1:
                     pair_partners[i] |= others
                 else:
-                    large[i].append(vmask)
+                    large.setdefault(i, []).append(vmask)
         self._pair_partners: tuple[int, ...] = tuple(pair_partners)
         self._large_vmasks: tuple[tuple[int, ...], ...] = tuple(
-            tuple(masks) for masks in large
+            tuple(large.get(i, ())) for i in range(n)
         )
         # Candidates untouched by any violation can never block (or be
         # blocked by) anything: maximalisation adds them unconditionally and

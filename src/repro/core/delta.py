@@ -23,11 +23,14 @@ violate a constraint among themselves:
   ``None``) fire only when every named member is available, so a new
   firing must involve an added candidate too.
 
-Hence *new* violations all intersect the added candidate set, and they
-are found by re-running each structural constraint over a small
-BFS-bounded scope around the delta (radius 0 for one-to-one, the cycle
-bound for cycles).  Constraints outside this taxonomy fall back to a
-full recompile — correct, just not incremental.
+Hence *new* violations all intersect the added candidate set, and every
+one has a member on a schema pair an added candidate spans.  A compile is
+then "a delta from the empty network": the same discovery loop
+(:func:`~repro.core.constraints.discover_violations`) runs anchored on
+those pairs — one-to-one over the candidates on them, the cycle
+constraint over the graph cycles through them, declaration-style
+constraints over their (cheap) reference lists.  Constraints outside this
+taxonomy fall back to a full recompile — correct, just not incremental.
 
 The per-index mask tables are renumbered (removals shift every bit), so
 the *global* engine saves re-discovery, not re-indexing; the shard layer
@@ -39,13 +42,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .constraints import (
     ConstraintEngine,
     CycleConstraint,
     OneToOneConstraint,
     Violation,
+    discover_violations,
 )
 from .correspondence import CandidateSet, Correspondence
 from .graphs import InteractionGraph
@@ -167,10 +171,6 @@ class DeltaResult:
         retracted, the re-added twin starts fresh).
     added_indices:
         New-space indices of added candidates, ascending.
-    new_violation_masks:
-        New-space masks of the violations that were *not* carried over
-        from the old engine — the touched region the shard planner must
-        recompute; every one of them intersects the added candidates.
     rescored_indices:
         New-space indices of the candidates whose confidence the delta
         patched in place, ascending.
@@ -182,7 +182,6 @@ class DeltaResult:
     removed_indices: tuple[int, ...]
     removed_correspondences: frozenset[Correspondence] = field(repr=False)
     added_indices: tuple[int, ...] = ()
-    new_violation_masks: tuple[int, ...] = field(default=(), repr=False)
     rescored_indices: tuple[int, ...] = ()
 
     @property
@@ -213,193 +212,46 @@ class DeltaResult:
         return mask
 
 
-def _bfs_scope(
-    graph: InteractionGraph, seeds: Iterable[str], radius: int
-) -> set[str]:
-    """Schemas within ``radius`` graph hops of any seed (seeds included)."""
-    scope = set(seeds)
-    frontier = set(scope)
-    for _ in range(radius):
-        grown: set[str] = set()
-        for node in frontier:
-            grown |= graph.neighbors(node)
-        grown -= scope
-        if not grown:
-            break
-        scope |= grown
-        frontier = grown
-    return scope
-
-
-def _canonical_cycle(path: tuple[str, ...]) -> tuple[str, ...]:
-    """The rotation/direction :meth:`InteractionGraph.cycles` would emit:
-    smallest node first, then towards its smaller cycle neighbour."""
-    k = len(path)
-    pivot = path.index(min(path))
-    forward = tuple(path[(pivot + j) % k] for j in range(k))
-    backward = tuple(path[(pivot - j) % k] for j in range(k))
-    return forward if forward[1] < forward[-1] else backward
-
-
-def _cycles_through_edges(
-    graph: InteractionGraph,
-    anchor_edges: Iterable[tuple[str, str]],
-    max_length: int,
-) -> Iterator[tuple[str, ...]]:
-    """Simple cycles (length 3..``max_length``) using ≥1 anchor edge, each
-    once.
-
-    Equivalent to filtering :meth:`InteractionGraph.cycles` to cycles
-    containing an anchor edge, but enumerated as simple paths *between*
-    each anchor edge's endpoints — the work is bounded by the handful of
-    edges a delta's added candidates span, not the network's full (dense)
-    cycle space.
-    """
-    if max_length < 3:
-        return
-    seen: set[tuple[str, ...]] = set()
-    for start, goal in sorted(set(anchor_edges)):
-        if start not in graph or not graph.has_edge(start, goal):
-            continue
-        # Paths start → … → goal of 3..max_length nodes; closing them over
-        # the anchor edge (goal, start) is the cycle.
-        stack: list[tuple[str, ...]] = [(start,)]
-        while stack:
-            path = stack.pop()
-            head = path[-1]
-            for neighbour in sorted(graph.neighbors(head)):
-                if neighbour == goal:
-                    if len(path) >= 2:
-                        canonical = _canonical_cycle(path + (goal,))
-                        if canonical not in seen:
-                            seen.add(canonical)
-                            yield canonical
-                    continue
-                if neighbour in path:
-                    continue
-                if len(path) < max_length - 1:
-                    stack.append(path + (neighbour,))
-
-
-def _cycle_violations_through(
-    constraint: CycleConstraint,
-    correspondences: Sequence[Correspondence],
-    graph: InteractionGraph,
-    added_corrs: Sequence[Correspondence],
-) -> Iterator[Violation]:
-    """``CycleConstraint`` discovery restricted to the delta's cycles.
-
-    Every *new* violation contains an added candidate, and a cycle
-    violation's members each span one edge of the underlying schema
-    cycle — so the cycle passes through an added candidate's edge.
-    Anchoring the enumeration on those few edges is exhaustive for the
-    added-intersecting family without walking the dense survivor-only
-    cycle space a BFS scope would drag in.
-    """
-    by_edge: dict[tuple[str, str], list[Correspondence]] = {}
-    for corr in correspondences:
-        by_edge.setdefault(corr.schema_pair, []).append(corr)
-    anchor_edges = {corr.schema_pair for corr in added_corrs}
-    seen: set[frozenset[Correspondence]] = set()
-    for cycle in _cycles_through_edges(
-        graph, anchor_edges, constraint.max_cycle_length
-    ):
-        for rotation in range(len(cycle)):
-            rotated = cycle[rotation:] + cycle[:rotation]
-            for violation in constraint._cycle_violations(rotated, by_edge):
-                if violation.correspondences not in seen:
-                    seen.add(violation.correspondences)
-                    yield violation
-
-
 def _incremental_engine(
     old_engine: ConstraintEngine,
     correspondences: Sequence[Correspondence],
     graph: InteractionGraph,
     removed_mask: int,
     added_corrs: Sequence[Correspondence],
-    added_names: set[str],
 ) -> ConstraintEngine:
     """Recompile the engine keeping every violation among survivors.
 
     Carried violations are the old ones whose mask misses every removed
     bit (their members, graph edges and constraint semantics all
-    survive).  New violations all intersect the added candidate set (the
-    locality contract), so structural constraints are re-run only over a
-    BFS-bounded scope around the delta and declaration-style constraints
-    over the (cheap) explicit reference lists.
+    survive); they keep their order.  New violations all intersect the
+    added candidate set (the locality contract), so they come from the
+    compile's own discovery loop anchored on the schema pairs the added
+    candidates span, and follow the carried ones in compile order.
     """
     constraints = old_engine.constraints
-    violations = []
+    violations: list[Violation] = []
     sources: list[list[int]] = []
-    seen: dict[frozenset[Correspondence], int] = {}
     for violation, vmask, contributors in zip(
         old_engine.violations,
         old_engine.violation_masks,
         old_engine.violation_sources,
     ):
-        if vmask & removed_mask:
-            continue
-        seen[violation.correspondences] = len(violations)
-        violations.append(violation)
-        sources.append(list(contributors))
-
-    added_set = set(added_corrs)
-    if added_set or added_names:
-        seeds: set[str] = set(added_names)
-        for corr in added_corrs:
-            seeds.update(corr.schema_pair)
-        scope_cache: dict[int, tuple[tuple, InteractionGraph]] = {}
-        for position, constraint in enumerate(constraints):
-            referenced = constraint.referenced_correspondences()
-            if referenced is not None:
-                fresh = constraint.minimal_violations(correspondences, graph)
-            elif isinstance(constraint, CycleConstraint):
-                # Anchored, not scoped: a BFS ball of radius max_cycle_length
-                # around the delta covers most of a dense network, making
-                # "scoped" rediscovery as expensive as a full recompile.
-                # Every new violation lies on a cycle through an added
-                # schema, so enumerate exactly those cycles instead.
-                fresh = _cycle_violations_through(
-                    constraint, correspondences, graph, added_corrs
-                )
-            else:
-                radius = 0  # OneToOneConstraint: pairs within one schema pair
-                cached = scope_cache.get(radius)
-                if cached is None:
-                    scope = _bfs_scope(graph, seeds, radius)
-                    scope_corrs = tuple(
-                        corr
-                        for corr in correspondences
-                        if corr.schema_pair[0] in scope
-                        and corr.schema_pair[1] in scope
-                    )
-                    scope_graph = InteractionGraph(
-                        nodes=sorted(scope),
-                        edges=[
-                            edge
-                            for edge in graph.edges
-                            if edge[0] in scope and edge[1] in scope
-                        ],
-                    )
-                    cached = (scope_corrs, scope_graph)
-                    scope_cache[radius] = cached
-                scope_corrs, scope_graph = cached
-                fresh = constraint.minimal_violations(scope_corrs, scope_graph)
-            for violation in fresh:
-                if not (violation.correspondences & added_set):
-                    # Violations among survivors only: either already
-                    # carried, or (scoped discovery over a sub-universe)
-                    # a subset of the carried family — skip either way.
-                    continue
-                slot = seen.get(violation.correspondences)
-                if slot is None:
-                    seen[violation.correspondences] = len(violations)
-                    violations.append(violation)
-                    sources.append([position])
-                elif position not in sources[slot]:
-                    sources[slot].append(position)
-
+        if not vmask & removed_mask:
+            violations.append(violation)
+            sources.append(list(contributors))
+    added = set(added_corrs)
+    if added:
+        fresh, fresh_sources = discover_violations(
+            constraints,
+            correspondences,
+            graph,
+            through={corr.schema_pair for corr in added},
+        )
+        for violation, contributors in zip(fresh, fresh_sources):
+            # Violations among survivors only are carried already.
+            if not violation.correspondences.isdisjoint(added):
+                violations.append(violation)
+                sources.append(contributors)
     return ConstraintEngine.from_violations(
         constraints, correspondences, violations, sources
     )
@@ -460,7 +312,6 @@ def _rescore_only_result(
         removed_indices=(),
         removed_correspondences=frozenset(),
         added_indices=(),
-        new_violation_masks=(),
         rescored_indices=tuple(rescored_indices),
     )
 
@@ -541,8 +392,10 @@ def apply_network_delta(
     candidates = CandidateSet()
     confidence_of = network.candidates.confidence
     for old_index, corr in enumerate(old_corrs):
-        if corr in explicit or any(
-            endpoint.schema in removed_names for endpoint in corr.attributes
+        if (
+            corr in explicit
+            or corr.source.schema in removed_names
+            or corr.target.schema in removed_names
         ):
             if corr in rescore_map:
                 raise ValueError(
@@ -601,7 +454,7 @@ def apply_network_delta(
     new_corrs = candidates.correspondences
     if incremental:
         engine = _incremental_engine(
-            old_engine, new_corrs, graph, removed_mask, added_corrs, added_names
+            old_engine, new_corrs, graph, removed_mask, added_corrs
         )
     else:
         engine = ConstraintEngine(
@@ -616,18 +469,6 @@ def apply_network_delta(
     successor.constraints = network.constraints
     successor.engine = engine
 
-    carried_keys = {
-        violation.correspondences
-        for violation, vmask in zip(
-            old_engine.violations, old_engine.violation_masks
-        )
-        if not (vmask & removed_mask)
-    }
-    new_violation_masks = tuple(
-        vmask
-        for violation, vmask in zip(engine.violations, engine.violation_masks)
-        if violation.correspondences not in carried_keys
-    )
     return DeltaResult(
         delta=delta,
         network=successor,
@@ -635,6 +476,5 @@ def apply_network_delta(
         removed_indices=tuple(removed_indices),
         removed_correspondences=frozenset(removed),
         added_indices=tuple(added_indices),
-        new_violation_masks=new_violation_masks,
         rescored_indices=tuple(rescored_indices),
     )

@@ -9,7 +9,7 @@ that are useful for examples and tests.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class InteractionGraph:
@@ -73,31 +73,83 @@ class InteractionGraph:
                 if third > right:
                     yield (left, right, third)
 
-    def cycles(self, max_length: int = 3) -> Iterator[tuple[str, ...]]:
+    def cycles(
+        self,
+        max_length: int = 3,
+        through: Optional[Iterable[tuple[str, str]]] = None,
+    ) -> Iterator[tuple[str, ...]]:
         """Yield simple cycles of length 3..max_length, each exactly once.
 
         Cycles are emitted as node tuples starting from their smallest node
         and continuing towards the smaller of that node's two cycle
-        neighbours, which canonicalises direction.
+        neighbours, which canonicalises direction.  They come in
+        depth-first pre-order: start node ascending, then neighbours in
+        descending name order, a cycle before its extensions; as a sort key,
+        ``(rank(c0), -rank(c1), …, -rank(c_{k-1}))`` with a prefix first.
+        The constraint engine's violation order follows this order.
+
+        Each cycle is found from one of its edges by extending paths from
+        that edge and closing them by intersecting the head's adjacency set
+        with the edge's start.  Without ``through`` that edge is the
+        cycle's canonical first edge (c0, c1), so cycles stream out in order.
+        With ``through`` (an iterable of edges), only the cycles using at
+        least one of those edges are yielded, in the same order; the work
+        is then bounded by the cycles through those edges, not the graph.
         """
         if max_length < 3:
             return
-        nodes = sorted(self._adjacency)
-        for start in nodes:
-            stack: list[tuple[str, ...]] = [(start,)]
+        adjacency = self._adjacency
+        ascending: dict[str, list[str]] = {}
+
+        def neighbours(node: str) -> list[str]:
+            ordered = ascending.get(node)
+            if ordered is None:
+                ordered = ascending[node] = sorted(adjacency[node])
+            return ordered
+
+        def closed_paths(
+            first: str, second: str, canonical: bool
+        ) -> Iterator[tuple[str, ...]]:
+            # Paths first, second, …, head in pre-order (the stack pops the
+            # largest neighbour first); a path is a cycle when its head is
+            # adjacent to ``first``.  ``canonical`` keeps the cycles whose
+            # smallest node is ``first`` and whose ``second < last``.
+            home = adjacency[first]
+            stack = [(first, second)]
             while stack:
                 path = stack.pop()
                 head = path[-1]
-                for neighbour in sorted(self._adjacency[head]):
-                    if neighbour == start and len(path) >= 3:
-                        # Canonical direction: second node < last node.
-                        if path[1] < path[-1]:
-                            yield path
-                        continue
-                    if neighbour <= start or neighbour in path:
-                        continue
-                    if len(path) < max_length:
-                        stack.append(path + (neighbour,))
+                if len(path) >= 3 and head in home and (
+                    not canonical or second < head
+                ):
+                    yield path
+                if len(path) == max_length - 1:
+                    for node in sorted(home & adjacency[head], reverse=True):
+                        if node not in path and (not canonical or node > second):
+                            yield path + (node,)
+                elif len(path) < max_length - 1:
+                    stack.extend(
+                        path + (node,)
+                        for node in neighbours(head)
+                        if node not in path and (not canonical or node > first)
+                    )
+
+        if through is None:
+            for start in sorted(adjacency):
+                for second in reversed(neighbours(start)):
+                    if second < start:
+                        break
+                    yield from closed_paths(start, second, True)
+            return
+        found: set[tuple[str, ...]] = set()
+        for left, right in through:
+            if self.has_edge(left, right):
+                found.update(map(_canonical, closed_paths(left, right, False)))
+        rank = {node: position for position, node in enumerate(sorted(adjacency))}
+        yield from sorted(
+            found,
+            key=lambda cycle: (rank[cycle[0]], *(-rank[node] for node in cycle[1:])),
+        )
 
     def __contains__(self, node: object) -> bool:
         return node in self._adjacency
@@ -107,6 +159,13 @@ class InteractionGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"InteractionGraph({len(self)} nodes, {len(self.edges)} edges)"
+
+
+def _canonical(cycle: tuple[str, ...]) -> tuple[str, ...]:
+    """The rotation and direction :meth:`InteractionGraph.cycles` emits."""
+    pivot = cycle.index(min(cycle))
+    forward = cycle[pivot:] + cycle[:pivot]
+    return forward if forward[1] < forward[-1] else forward[:1] + forward[:0:-1]
 
 
 def complete_graph(schema_names: Sequence[str]) -> InteractionGraph:

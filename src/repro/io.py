@@ -139,7 +139,13 @@ def constraint_from_dict(document: dict) -> Constraint:
     if kind == "one-to-one":
         return OneToOneConstraint()
     if kind == "cycle":
-        return CycleConstraint(document.get("max_cycle_length", 3))
+        length = document.get("max_cycle_length", 3)
+        try:
+            return CycleConstraint(length)
+        except (TypeError, ValueError):
+            raise FormatError(
+                f"cycle max_cycle_length must be an integer >= 3, got {length!r}"
+            ) from None
     raise FormatError(f"unknown constraint type {kind!r}")
 
 

@@ -5,8 +5,8 @@ seeds, strategies, or feedback).  Three expensive artefacts depend only
 on the network — not on any tenant's RNG or feedback — so computing them
 once and sharing them is bit-identical to recomputing per tenant:
 
-* **compiled sub-networks** — ``_shard_subnetwork`` output is a pure
-  function of (network, shard indices);
+* **compiled sub-networks** — a shard's ``MatchingNetwork.restricted_to``
+  is a pure function of (network, shard indices);
 * **enumerated initial fills** — a small shard's unconditioned Ω is
   enumerated (no RNG consumed), so the post-fill store state is a pure
   function of (sub-network, sampling knobs);

@@ -36,7 +36,6 @@ import numpy as np
 
 from ..core.correspondence import Correspondence
 from ..core.feedback import Feedback
-from ..core.graphs import InteractionGraph
 from ..core.instances import enumerate_instances
 from ..core.network import MatchingNetwork
 from ..core.sampling import InstanceSampler, SampleStore
@@ -119,11 +118,11 @@ class Shard:
 
     ``indices`` are the ascending global engine indices of the shard's
     candidates; ``columns`` is the same as an ``np.intp`` array for
-    vector scatter.  ``network`` is the restricted sub-network compiled
-    over exactly those candidates — ``CandidateSet.restricted_to``
-    preserves insertion order, so local engine index ``k`` is global
-    index ``indices[k]`` and the shard store's vectors align with
-    ``columns`` directly.
+    vector scatter.  ``network`` is ``MatchingNetwork.restricted_to``
+    over exactly those candidates — it preserves insertion order, so local
+    engine index ``k`` is global index ``indices[k]`` and the shard
+    store's vectors align with ``columns`` directly.  Its engine compile
+    walks only the schema-pair edges those candidates span.
     """
 
     __slots__ = ("position", "indices", "columns", "network", "store")
@@ -146,39 +145,6 @@ class Shard:
             f"Shard({self.position}, {len(self.indices)} candidates, "
             f"{len(self.store)} samples)"
         )
-
-
-def _shard_subnetwork(
-    network: MatchingNetwork, keep: Sequence[Correspondence]
-) -> MatchingNetwork:
-    """The restricted network over only the schemas ``keep`` touches.
-
-    ``MatchingNetwork.restricted_to`` recompiles constraints over the
-    *full* schema set and interaction graph, which is O(network) per
-    shard — ruinous when hundreds of shards each hold a handful of
-    candidates.  Every violation among ``keep`` only ever references
-    schemas on its correspondences' endpoints (a one-to-one violation
-    shares an attribute; a cycle violation's cycle runs along its own
-    correspondences' edges), so compiling over the touched schemas and
-    the induced subgraph yields the identical violation set at a cost
-    proportional to the shard, not the network.
-    """
-    touched = {
-        endpoint.schema for corr in keep for endpoint in corr.attributes
-    }
-    schemas = tuple(s for s in network.schemas if s.name in touched)
-    graph = InteractionGraph(nodes=touched)
-    for name in touched:
-        for neighbour in network.graph.neighbors(name):
-            if neighbour in touched and name < neighbour:
-                graph.add_edge(name, neighbour)
-    return MatchingNetwork(
-        schemas=schemas,
-        candidates=network.candidates.restricted_to(keep),
-        graph=graph,
-        constraints=network.constraints,
-        validate=False,
-    )
 
 
 def _empty_store_state(target_samples: int, min_samples: int) -> dict:
@@ -277,10 +243,10 @@ class ShardedSampleStore:
             subnet = self.catalog.subnetwork(
                 self.network,
                 indices,
-                lambda: _shard_subnetwork(self.network, members),
+                lambda: self.network.restricted_to(members),
             )
         else:
-            subnet = _shard_subnetwork(self.network, members)
+            subnet = self.network.restricted_to(members)
         # The master rng ALWAYS spawns the shard stream here, catalog hit
         # or not — stream spawning is part of the deterministic contract.
         sampler = InstanceSampler(

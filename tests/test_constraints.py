@@ -131,6 +131,12 @@ class TestCycle:
         with pytest.raises(ValueError, match=">= 3"):
             CycleConstraint(max_cycle_length=2)
 
+    @pytest.mark.parametrize("length", [3.7, 4.0, "4", None, True])
+    def test_rejects_non_int_max_length(self, length):
+        # A bound such as 3.7 would let 4-cycles through a length test.
+        with pytest.raises(TypeError, match="must be an int"):
+            CycleConstraint(max_cycle_length=length)
+
     def test_violations_invariant_under_schema_renaming(self):
         """Regression: the chain enumeration must try every cycle rotation.
 

@@ -22,6 +22,7 @@ from repro.core import (
     apply_network_delta,
     correspondence,
 )
+from repro.core.constraints import default_constraints
 from repro.core.delta import DeltaResult
 from repro.core.probability import ExactEstimator, ProbabilisticNetwork
 from repro.experiments.churn import make_churn_delta
@@ -243,7 +244,10 @@ class TestDeltaApplication:
         assert result.index_map == {
             i: i for i in range(len(movie_network.correspondences))
         }
-        assert result.new_violation_masks == ()
+        new = set(violation_families(result.network.engine)).difference(
+            violation_families(movie_network.engine)
+        )
+        assert new == set()
         assert violation_families(result.network.engine) == (
             violation_families(movie_network.engine)
         )
@@ -269,10 +273,14 @@ class TestDeltaApplication:
                 ),
             )
         )
-        added = result.added_mask
-        assert result.new_violation_masks
-        for vmask in result.new_violation_masks:
-            assert vmask & added
+        engine = result.network.engine
+        added = set(engine.corrs_of(result.added_mask))
+        new = set(violation_families(engine)).difference(
+            violation_families(movie_network.engine)
+        )
+        assert new
+        for key in new:
+            assert key & added
 
     def test_masks_renumbered_after_removal(self, movie_network):
         result = movie_network.apply_delta(
@@ -284,9 +292,44 @@ class TestDeltaApplication:
             assert vmask < (1 << engine.n)
 
 
+def with_candidate_between_survivors(network, delta, rng):
+    """``delta`` plus a fresh candidate on an existing edge between two
+    schemas it keeps, sharing an endpoint with a candidate there: the new
+    candidate makes violations with old candidates only."""
+    removed = set(delta.remove_schemas)
+    anchor = rng.choice(
+        [
+            corr
+            for corr in network.correspondences
+            if not removed.intersection(corr.schema_pair)
+        ]
+    )
+    extra = next(
+        correspondence(anchor.source, attribute)
+        for attribute in network.schema(anchor.target.schema)
+        if correspondence(anchor.source, attribute) not in network.candidates
+    )
+    return extra, NetworkDelta(
+        add_schemas=delta.add_schemas,
+        remove_schemas=delta.remove_schemas,
+        add_edges=delta.add_edges,
+        add_candidates=delta.add_candidates + ((extra, 0.5),),
+    )
+
+
 class TestIncrementalEngineEquivalence:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_churn_delta_matches_fresh_compile(self, seed):
+    @pytest.mark.parametrize(
+        "seed, max_cycle_length, survivor_edge",
+        [pytest.param(seed, 3, False, id=str(seed)) for seed in range(5)]
+        + [pytest.param(seed, 4, False, id=f"cycles4-{seed}") for seed in range(3)]
+        + [
+            pytest.param(seed, 3, True, id=f"survivor-edge-{seed}")
+            for seed in range(3)
+        ],
+    )
+    def test_churn_delta_matches_fresh_compile(
+        self, seed, max_cycle_length, survivor_edge
+    ):
         network = synthetic_network(
             60,
             n_schemas=10,
@@ -294,7 +337,18 @@ class TestIncrementalEngineEquivalence:
             conflict_bias=0.5,
             seed=seed,
         )
+        if max_cycle_length != 3:
+            network = MatchingNetwork(
+                list(network.schemas),
+                network.candidates,
+                graph=network.graph,
+                constraints=default_constraints(max_cycle_length),
+            )
         delta = make_churn_delta(network, 0.2, random.Random(seed + 3))
+        if survivor_edge:
+            extra, delta = with_candidate_between_survivors(
+                network, delta, random.Random(seed)
+            )
         result = network.apply_delta(delta)
         fresh = fresh_compile(result)
         assert violation_families(result.network.engine) == (
@@ -307,6 +361,10 @@ class TestIncrementalEngineEquivalence:
             result.network.engine.conflicted_mask
             == fresh.engine.conflicted_mask
         )
+        if survivor_edge:
+            assert any(
+                extra in violation for violation in result.network.engine.violations
+            )
 
     def test_carried_violation_objects_are_reused(self):
         network = synthetic_network(

@@ -95,6 +95,26 @@ class TestConstraintRegistry:
         with pytest.raises(io.FormatError, match="unknown constraint"):
             io.constraint_from_dict({"type": "alien"})
 
+    @pytest.mark.parametrize("length", [3.7, "4", None, True, 2, [3]])
+    def test_invalid_cycle_length_rejected(self, length):
+        with pytest.raises(io.FormatError, match="max_cycle_length"):
+            io.constraint_from_dict({"type": "cycle", "max_cycle_length": length})
+
+    def test_network_file_with_invalid_cycle_length_rejected(
+        self, movie_network, tmp_path
+    ):
+        document = io.network_to_dict(movie_network)
+        document["constraints"] = [
+            {"type": "one-to-one"},
+            {"type": "cycle", "max_cycle_length": 3.7},
+        ]
+        with pytest.raises(io.FormatError, match="max_cycle_length"):
+            io.network_from_dict(document)
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(io.FormatError, match="max_cycle_length"):
+            io.load_network(str(path))
+
     def test_unserialisable_constraint_rejected(self, movie_correspondences):
         from repro.core import MutualExclusionConstraint
 
