@@ -35,6 +35,7 @@ BENCH_FILES = (
     "benchmarks/test_bench_churn.py",
     "benchmarks/test_bench_compile.py",
     "benchmarks/test_bench_service.py",
+    "benchmarks/test_bench_deliverable.py",
 )
 
 

@@ -131,6 +131,7 @@ class CandidateSet:
     ):
         self._confidences: dict[Correspondence, float] = {}
         self._ordered: Optional[tuple[Correspondence, ...]] = None
+        self._positions: Optional[dict[Correspondence, int]] = None
         confidences = confidences or {}
         for corr in correspondences:
             self.add(corr, confidences.get(corr, 1.0))
@@ -141,6 +142,7 @@ class CandidateSet:
             raise ValueError(f"confidence {confidence} outside [0, 1]")
         self._confidences[corr] = confidence
         self._ordered = None
+        self._positions = None
 
     def confidence(self, corr: Correspondence) -> float:
         """Matcher confidence of ``corr`` (KeyError if absent)."""
@@ -160,12 +162,27 @@ class CandidateSet:
         return groups
 
     def restricted_to(self, keep: Iterable[Correspondence]) -> "CandidateSet":
-        """A new candidate set containing only ``keep`` (order preserved)."""
-        keep_set = set(keep)
+        """A new candidate set containing only ``keep`` (order preserved).
+
+        Members of ``keep`` outside the set are ignored.  The cost is in
+        the size of ``keep``: insertion positions are indexed once per set
+        and reused, so restricting one network to each of its shards does
+        not rescan every candidate per shard.
+        """
+        positions = self._positions
+        if positions is None:
+            positions = self._positions = {
+                corr: position
+                for position, corr in enumerate(self._confidences)
+            }
+        ordered = self.correspondences
+        confidences = self._confidences
         subset = CandidateSet()
-        for corr, conf in self._confidences.items():
-            if corr in keep_set:
-                subset.add(corr, conf)
+        for position in sorted(
+            {positions[corr] for corr in keep if corr in positions}
+        ):
+            corr = ordered[position]
+            subset._confidences[corr] = confidences[corr]
         return subset
 
     def merged_with(self, other: "CandidateSet") -> "CandidateSet":

@@ -7,6 +7,12 @@ independent set), so Algorithm 2 runs a two-step meta-heuristic: greedily
 pick the best sampled instance, then improve it with a tabu-guarded
 randomized local search driven by roulette-wheel selection and `repair()`.
 
+Δ and log u are sums over the violation-graph components, and a
+violation-free candidate belongs to every instance, so the problem
+decomposes: when the estimator is sharded, ``instantiate`` solves it one
+component at a time — exactly wherever the shard holds its whole instance
+space, by Algorithm 2 on the shard alone elsewhere.
+
 ``exact_instantiate`` solves the problem exactly by enumeration and is used
 to validate the heuristic on small networks.
 """
@@ -18,13 +24,14 @@ import random
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
+from .constraints import mask_indices
 from .correspondence import Correspondence
 from .feedback import Feedback
 from .instances import enumerate_instances
 from .network import MatchingNetwork
-from .probability import ProbabilisticNetwork
+from .probability import ProbabilisticNetwork, SampledEstimator
 from .repair import greedy_maximalize_mask, repair_mask
-from .sampling import symmetric_difference_size
+from .sampling import SampleStore, symmetric_difference_size
 
 #: Probability floor used inside log-likelihoods so that a sampled zero does
 #: not collapse the whole product (the instance may still be forced to keep
@@ -90,10 +97,25 @@ def instantiate(
     use_likelihood:
         When False the likelihood tie-break is ignored (the "Without
         Likelihood" variant of Fig. 11) and roulette weights are uniform.
+    rng:
+        Drives the roulette wheel, repair and greedy maximalisation.
+
+    A sharded estimator (one exposing ``components()``) is solved one
+    component at a time: violation-free candidates go in unless
+    disapproved, an exhausted shard (Ω*_s = Ω_s) takes its exact optimum
+    in one scan and draws no randomness, and any other shard runs this
+    algorithm on its own engine, feedback and samples, consuming ``rng``
+    in shard order.  Once every shard is enumerated, ``rng`` and
+    ``iterations`` no longer change the result.
     """
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
     rng = rng or random.Random()
+    components = getattr(pnet.estimator, "components", None)
+    if components is not None:
+        return _instantiate_components(
+            pnet, components(), iterations, use_likelihood, tabu_size, rng
+        )
     network = pnet.network
     engine = network.engine
     feedback = pnet.feedback
@@ -178,6 +200,74 @@ def instantiate(
     # mask space; restore them at the boundary (F⁺ ⊆ I must hold).
     extra = engine.outside_candidates(feedback.approved)
     return result | extra if extra else result
+
+
+def _instantiate_components(
+    pnet: ProbabilisticNetwork,
+    shards: Sequence[tuple[Sequence[int], SampleStore]],
+    iterations: int,
+    use_likelihood: bool,
+    tabu_size: Optional[int],
+    rng: random.Random,
+) -> frozenset[Correspondence]:
+    """Problem 2 per factor of Ω = ∏ Ω_s × {violation-free candidates}.
+
+    ``shards`` is the estimator's ``components()``: per shard, its
+    ascending engine indices and its shard-local sample store (local index
+    ``k`` is engine index ``indices[k]``).  Shards share no constraint and
+    partition the conflicted candidates, so the union of per-shard optima
+    and the violation-free candidates is a matching instance and optimal
+    for the sums Δ and log u.
+    """
+    feedback = pnet.feedback
+    engine = pnet.network.engine
+    correspondences = engine.correspondences
+    probability = pnet.probability_vector()
+    chosen: list[Correspondence] = []
+    for indices, store in shards:
+        masks = store.sample_masks
+        if store.exhausted and masks:
+            log_prob = [
+                math.log(max(p, _LIKELIHOOD_FLOOR))
+                for p in probability[list(indices)].tolist()
+            ]
+            best = _best_mask(masks, log_prob, use_likelihood)
+            chosen.extend(
+                correspondences[indices[k]] for k in mask_indices(best)
+            )
+        else:
+            local = ProbabilisticNetwork(
+                store.network, SampledEstimator.from_store(store)
+            )
+            chosen.extend(
+                instantiate(local, iterations, use_likelihood, tabu_size, rng)
+            )
+    free = engine.corrs_of(engine.violation_free_mask) - feedback.disapproved
+    # Approved correspondences outside the candidate set join at the
+    # boundary, as in Algorithm 2.
+    return free.union(chosen, engine.outside_candidates(feedback.approved))
+
+
+def _best_mask(
+    masks: Sequence[int], log_prob: Sequence[float], use_likelihood: bool
+) -> int:
+    """The lexicographic minimum of (Δ, −log u) over a complete Ω.
+
+    Δ = |C| − |I| for I ⊆ C, so the fewest missing bits win.  Likelihoods
+    are exactly rounded sums, so equal objectives are true ties, which
+    the earliest mask in store order wins.
+    """
+    most = max(mask.bit_count() for mask in masks)
+    best, best_likelihood = None, -math.inf
+    for mask in masks:
+        if mask.bit_count() != most:
+            continue
+        if not use_likelihood:
+            return mask
+        likelihood = math.fsum(log_prob[k] for k in mask_indices(mask))
+        if likelihood > best_likelihood:
+            best, best_likelihood = mask, likelihood
+    return best
 
 
 def exact_instantiate(

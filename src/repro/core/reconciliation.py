@@ -383,7 +383,11 @@ class ReconciliationSession:
         """Instantiate a trusted matching from the *current* state.
 
         This is the pay-as-you-go deliverable: callable at any time, whether
-        or not reconciliation has finished.
+        or not reconciliation has finished.  On a sharded session it is
+        solved per violation component (see
+        :func:`~repro.core.instantiation.instantiate`): once every shard is
+        enumerated the answer is exact, and ``rng`` and ``iterations`` no
+        longer change it.
         """
         return instantiate(
             self.pnet,

@@ -669,7 +669,12 @@ class CrowdSession:
         rng: Optional[random.Random] = None,
     ) -> frozenset[Correspondence]:
         """Instantiate a trusted matching from the *current* crowd state —
-        callable at any budget point, like the single-expert session's."""
+        callable at any budget point, like the single-expert session's.
+
+        On a sharded session it is solved per violation component (see
+        :func:`~repro.core.instantiation.instantiate`): once every shard is
+        enumerated the answer is exact, and ``rng`` and ``iterations`` no
+        longer change it."""
         from ..core.instantiation import instantiate
 
         return instantiate(

@@ -109,7 +109,12 @@ def _rng_from_json(state) -> tuple:
 
 
 def _corrs_to_list(corrs) -> list[dict]:
-    return [correspondence_to_dict(corr) for corr in sorted(corrs)]
+    # Sorting on the key tuple gives ``Correspondence.__lt__``'s order
+    # without building two key tuples per comparison.
+    return [
+        correspondence_to_dict(corr)
+        for corr in sorted(corrs, key=Correspondence._key)
+    ]
 
 
 def _corrs_from_list(entries, schemas) -> list[Correspondence]:

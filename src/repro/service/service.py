@@ -201,12 +201,23 @@ class ReconciliationService:
 
     @staticmethod
     def _resolve_rescore(session, updates):
-        """Normalise rescore updates; integer keys are engine indices."""
+        """Normalise rescore updates; integer keys are engine indices.
+
+        An integer key must name a candidate, ``0 <= key < n``: a
+        negative index would silently wrap to the end and a bool is no
+        index at all, so both raise ``ValueError`` like an out-of-range key.
+        """
         items = updates.items() if hasattr(updates, "items") else updates
         correspondences = session.pnet.network.correspondences
+        n = len(correspondences)
         resolved = []
         for key, score in items:
             if isinstance(key, numbers.Integral):
+                if isinstance(key, bool) or not 0 <= key < n:
+                    raise ValueError(
+                        f"rescore key {key!r} is not a candidate index: "
+                        f"integer keys must lie in [0, {n})"
+                    )
                 key = correspondences[key]
             resolved.append((key, float(score)))
         return tuple(resolved)

@@ -23,6 +23,7 @@ from ..core.correspondence import Correspondence
 from ..core.feedback import Feedback
 from ..core.network import MatchingNetwork
 from ..core.probability import ProbabilityEstimator
+from ..core.sampling import SampleStore
 from .store import ShardedSampleStore
 
 __all__ = ["ShardedEstimator"]
@@ -82,6 +83,16 @@ class ShardedEstimator(ProbabilityEstimator):
         sessions should select on the merged probability vector instead.
         """
         return self.store.matrix_float()
+
+    def components(self) -> list[tuple[tuple[int, ...], SampleStore]]:
+        """The factors Ω_s of Ω = ∏ Ω_s × {violation-free candidates}.
+
+        One pair per shard, in shard order: its ascending engine indices
+        and its shard-local sample store.  The violation-free candidates
+        belong to no shard.  The deliverable solves Problem 2 one factor
+        at a time over these (``core.instantiation.instantiate``).
+        """
+        return [(shard.indices, shard.store) for shard in self.store.shards]
 
     def probabilities(self) -> dict[Correspondence, float]:
         return self.store.frequencies()

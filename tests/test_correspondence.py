@@ -1,5 +1,7 @@
 """Unit tests for repro.core.correspondence."""
 
+import random
+
 import pytest
 
 from repro.core.correspondence import CandidateSet, Correspondence, correspondence
@@ -127,6 +129,59 @@ class TestCandidateSet:
         subset = candidates.restricted_to([c2])
         assert list(subset) == [c2]
         assert subset.confidence(c2) == 0.6
+
+    def test_restricted_to_matches_the_full_scan(self):
+        """Indexed restriction equals the original whole-set filter on
+        shuffled subsets with duplicates and non-members, keeping the
+        set's order, confidences and own correspondence objects."""
+
+        def full_scan(candidates, keep):
+            keep_set = set(keep)
+            subset = CandidateSet()
+            for corr in candidates:
+                if corr in keep_set:
+                    subset.add(corr, candidates.confidence(corr))
+            return subset
+
+        rng = random.Random(17)
+        universe = [
+            correspondence(
+                Attribute(f"S{i}", f"a{k}"), Attribute(f"S{j}", f"b{k}")
+            )
+            for i in range(4)
+            for j in range(i + 1, 5)
+            for k in range(6)
+        ]
+        for trial in range(40):
+            members = rng.sample(universe, rng.randint(0, len(universe) - 5))
+            candidates = CandidateSet(
+                members, {corr: rng.random() for corr in members}
+            )
+            outside = [corr for corr in universe if corr not in candidates]
+            keep = rng.sample(members, rng.randint(0, len(members)))
+            keep += rng.sample(keep, len(keep) // 3)
+            keep += rng.sample(outside, min(len(outside), 3))
+            # Equal but distinct objects must resolve to the set's own.
+            keep = [
+                Correspondence(corr.target, corr.source) if k % 2 else corr
+                for k, corr in enumerate(keep)
+            ]
+            rng.shuffle(keep)
+            subset = candidates.restricted_to(keep)
+            expected = full_scan(candidates, keep)
+            assert subset.correspondences == expected.correspondences
+            assert all(
+                subset.confidence(corr) == expected.confidence(corr)
+                for corr in subset
+            )
+            own = {id(corr) for corr in candidates}
+            assert all(id(corr) in own for corr in subset)
+            if trial % 5 == 0:
+                # The cached index follows later additions.
+                extra = outside[0] if outside else None
+                if extra is not None:
+                    candidates.add(extra, 0.5)
+                    assert extra in candidates.restricted_to([extra])
 
     def test_merged_with_other_wins(self, attrs):
         corr = correspondence(attrs[0], attrs[1])

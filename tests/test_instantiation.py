@@ -1,14 +1,19 @@
-"""Unit tests for instantiation (Algorithm 2) and the exact reference."""
+"""Unit tests for instantiation (Algorithm 2), the per-component
+deliverable of sharded sessions, and the exact reference."""
 
 import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Feedback,
+    InconsistentFeedbackError,
     MatchingNetwork,
     ProbabilisticNetwork,
+    correspondence,
     exact_instantiate,
     enumerate_instances,
     exact_probabilities,
@@ -17,6 +22,10 @@ from repro.core import (
     log_likelihood,
     repair_distance,
 )
+from repro.experiments.churn import make_churn_delta
+from repro.experiments.harness import synthetic_fixture, synthetic_network
+from repro.experiments.scenarios import ScenarioSpec, build_session
+from repro.shard import ShardedEstimator
 
 
 @pytest.fixture
@@ -167,3 +176,238 @@ class TestExactInstantiate:
         # error; check the degenerate result instead.
         best = exact_instantiate(network, probabilities, feedback)
         assert best == frozenset()
+
+
+# ----------------------------------------------------------------------
+# The per-component deliverable of sharded sessions
+# ----------------------------------------------------------------------
+
+#: The reference network of the session benches and the fleet workload:
+#: 1500 candidates, 124 violation components, every one enumerable.
+REFERENCE_KWARGS = dict(
+    n_correspondences=1500,
+    n_schemas=24,
+    attributes_per_schema=150,
+    conflict_bias=0.35,
+    seed=7,
+)
+
+
+class _Unfactorised:
+    """An estimator that hides ``components()``: ``instantiate`` then runs
+    Algorithm 2 over the whole network on the same P and feedback."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        if name == "components":
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+
+def _algorithm_2(pnet, rng):
+    whole = ProbabilisticNetwork(
+        pnet.network, estimator=_Unfactorised(pnet.estimator)
+    )
+    return instantiate(whole, rng=rng)
+
+
+def _objective(matching, pnet):
+    """Problem 2's objective as a key: (Δ, −log u), smaller is better."""
+    return (
+        repair_distance(matching, pnet.correspondences),
+        -log_likelihood(matching, pnet.probabilities()),
+    )
+
+
+def _no_worse(challenger, incumbent):
+    if challenger[0] != incumbent[0]:
+        return challenger[0] < incumbent[0]
+    return challenger[1] <= incumbent[1] + 1e-9 * abs(incumbent[1])
+
+
+def _sharded_pnet(network, rng, **kwargs):
+    kwargs.setdefault("target_samples", 512)
+    return ProbabilisticNetwork(
+        network, estimator=ShardedEstimator(network, rng=rng, **kwargs)
+    )
+
+
+def _draw_network(draw):
+    return synthetic_network(
+        draw(st.integers(min_value=6, max_value=16)),
+        n_schemas=draw(st.integers(min_value=3, max_value=4)),
+        attributes_per_schema=draw(st.integers(min_value=6, max_value=9)),
+        conflict_bias=draw(st.sampled_from([0.2, 0.35, 0.5, 0.65, 0.8])),
+        seed=draw(st.integers(min_value=0, max_value=500)),
+    )
+
+
+def _draw_feedback(draw, pnet):
+    """Assert a few random unasserted candidates with random verdicts."""
+    remaining = list(pnet.correspondences)
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        if not remaining:
+            break
+        corr = remaining.pop(
+            draw(st.integers(min_value=0, max_value=len(remaining) - 1))
+        )
+        try:
+            pnet.record_assertion(corr, draw(st.booleans()))
+        except InconsistentFeedbackError:
+            pass
+
+
+@pytest.fixture(scope="module")
+def reference_fixture():
+    return synthetic_fixture(**REFERENCE_KWARGS)
+
+
+def _likelihood_session(fixture, seed=3):
+    return build_session(
+        fixture,
+        ScenarioSpec(
+            strategy="likelihood", target_samples=250, seed=seed, sharded=True
+        ),
+    )
+
+
+def _advance(session, steps):
+    while len(session.trace.steps) < steps and session.step() is not None:
+        pass
+
+
+class TestShardedDeliverable:
+    @given(data=st.data())
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_objective_equals_exact_optimum(self, data):
+        network = _draw_network(data.draw)
+        assume(len(enumerate_instances(network, limit=129)) <= 128)
+        pnet = _sharded_pnet(
+            network, random.Random(data.draw(st.integers(0, 3)))
+        )
+        _draw_feedback(data.draw, pnet)
+        # Every shard holds its whole Ω_s, so the answer must be exact.
+        assert all(
+            store.exhausted for _, store in pnet.estimator.components()
+        )
+        probabilities = pnet.probabilities()
+        candidates = network.correspondences
+        for use_likelihood in (True, False):
+            matching = instantiate(
+                pnet, use_likelihood=use_likelihood, rng=random.Random(0)
+            )
+            assert is_matching_instance(matching, network, pnet.feedback)
+            exact = exact_instantiate(
+                network, probabilities, pnet.feedback, use_likelihood
+            )
+            assert repair_distance(matching, candidates) == repair_distance(
+                exact, candidates
+            )
+            if use_likelihood:
+                assert math.isclose(
+                    log_likelihood(matching, probabilities),
+                    log_likelihood(exact, probabilities),
+                    rel_tol=1e-9,
+                    abs_tol=1e-12,
+                )
+
+    def test_walk_sampled_shards_run_algorithm_2(self):
+        fixture = synthetic_fixture(
+            24, n_schemas=5, attributes_per_schema=8, seed=1
+        )
+        network = fixture.network
+        pnet = _sharded_pnet(
+            network, random.Random(5), target_samples=8, enumerate_limit=1
+        )
+        sampled = [
+            store
+            for _, store in pnet.estimator.components()
+            if not store.exhausted
+        ]
+        assert sampled
+        conflicted = [
+            corr
+            for corr in network.correspondences
+            if network.engine.violations_involving(corr)
+        ]
+        for corr in conflicted[:4]:
+            pnet.record_assertion(corr, corr in fixture.ground_truth)
+        rng = random.Random(2)
+        before = rng.getstate()
+        matching = instantiate(pnet, iterations=30, rng=rng)
+        assert is_matching_instance(matching, network, pnet.feedback)
+        # Only the local search draws: the shards it ran on were sampled.
+        assert rng.getstate() != before
+
+    @pytest.mark.parametrize("steps", [0, 40, 120])
+    def test_never_worse_than_algorithm_2_on_reference(
+        self, reference_fixture, steps
+    ):
+        session = _likelihood_session(reference_fixture)
+        _advance(session, steps)
+        pnet = session.pnet
+        deliverable = _objective(
+            session.current_matching(rng=random.Random(0)), pnet
+        )
+        for seed in range(3):
+            heuristic = _objective(
+                _algorithm_2(pnet, random.Random(seed)), pnet
+            )
+            assert _no_worse(deliverable, heuristic)
+
+    def test_never_worse_than_algorithm_2_after_delta(self, reference_fixture):
+        """A fleet expert tenant's state: steps, the churn delta, steps."""
+        session = _likelihood_session(reference_fixture, seed=13)
+        _advance(session, 40)
+        network = session.pnet.network
+        session.apply_delta(make_churn_delta(network, 0.1, random.Random(4)))
+        assert session.pnet.network is not network
+        _advance(session, 80)
+        pnet = session.pnet
+        matching = session.current_matching(rng=random.Random(0))
+        assert is_matching_instance(matching, pnet.network, pnet.feedback)
+        deliverable = _objective(matching, pnet)
+        for seed in range(3):
+            heuristic = _objective(
+                _algorithm_2(pnet, random.Random(seed)), pnet
+            )
+            assert _no_worse(deliverable, heuristic)
+
+    def test_enumerated_shards_ignore_rng_and_iterations(
+        self, reference_fixture
+    ):
+        session = _likelihood_session(reference_fixture)
+        _advance(session, 40)
+        pnet = session.pnet
+        assert all(
+            store.exhausted for _, store in pnet.estimator.components()
+        )
+        rng = random.Random(1)
+        before = rng.getstate()
+        first = session.current_matching(rng=rng)
+        assert rng.getstate() == before
+        assert session.current_matching(rng=random.Random(2)) == first
+        assert session.current_matching(iterations=0) == first
+
+    def test_restores_approved_outside_the_universe(self):
+        network = synthetic_network(
+            12, n_schemas=3, attributes_per_schema=6, seed=3
+        )
+        candidates = set(network.correspondences)
+        left, right = network.schemas[0], network.schemas[1]
+        outside = next(
+            corr
+            for corr in (
+                correspondence(a, b) for a in left for b in right
+            )
+            if corr not in candidates
+        )
+        pnet = _sharded_pnet(network, random.Random(0))
+        pnet.estimator.record_assertion(outside, True)
+        assert outside in instantiate(pnet, rng=random.Random(0))

@@ -519,6 +519,47 @@ class TestServiceCommands:
             network = session.pnet.network
             assert network.confidence(network.correspondences[0]) == 0.9
 
+    @pytest.mark.parametrize("key", [-1, True, 10**6])
+    def test_rescore_rejects_keys_that_name_no_candidate(self, fixture, key):
+        """A negative index must not wrap, a bool is no index, and an
+        out-of-range index is a ``ValueError``, not a bare ``IndexError``."""
+        with ReconciliationService() as service:
+            session = build_session(
+                fixture, _expert_spec(), catalog=service.catalog
+            )
+            service.add_tenant("t0", session)
+            network = session.pnet.network
+            confidences = [
+                network.confidence(corr) for corr in network.correspondences
+            ]
+            results = service.run_programs(
+                {"t0": [{"op": "rescore", "updates": {key: 0.123}}]}
+            )
+            error = results["t0"][0]
+            assert isinstance(error, ValueError)
+            n = len(network.correspondences)
+            assert repr(key) in str(error)
+            assert f"[0, {n})" in str(error)
+            assert session.deltas_applied == 0
+            assert session.pnet.network is network
+            assert [
+                network.confidence(corr) for corr in network.correspondences
+            ] == confidences
+
+    def test_rescore_accepts_the_last_index(self, fixture):
+        with ReconciliationService() as service:
+            session = build_session(
+                fixture, _expert_spec(), catalog=service.catalog
+            )
+            service.add_tenant("t0", session)
+            last = len(session.pnet.network.correspondences) - 1
+            results = service.run_programs(
+                {"t0": [{"op": "rescore", "updates": {last: 0.25}}]}
+            )
+            assert results["t0"][0]["rescored"] == 1
+            network = session.pnet.network
+            assert network.confidence(network.correspondences[last]) == 0.25
+
     def test_apply_delta_shared_across_tenants(self, fixture):
         delta = make_churn_delta(fixture.network, 0.1, random.Random(10))
         with ReconciliationService() as service:
