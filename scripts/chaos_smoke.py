@@ -8,7 +8,10 @@ golden one.  A short timeout-with-retry leg checks graceful dispatch on
 top, and two mid-delta legs cover network evolution: a crash right after
 a journaled delta committed (recovery must re-execute it) and a *torn*
 delta whose commit record never landed (recovery must discard it and
-continue pre-delta).  Takes a few seconds; exits non-zero on the first
+continue pre-delta).  A service leg crashes one tenant of a fleet, and an
+expert leg crashes a noisy single-expert run at step boundaries, with
+journaled steps (one of them an approval retraction) past the last
+checkpoint.  Takes a few seconds; exits non-zero on the first
 divergence.
 
 Usage::
@@ -35,6 +38,7 @@ from repro.experiments import synthetic_fixture  # noqa: E402
 from repro.experiments.scenarios import (  # noqa: E402
     ScenarioSpec,
     build_crowd_session,
+    build_session,
 )
 
 SEED = 0
@@ -116,7 +120,10 @@ def main() -> int:
     code = delta_legs(fixture)
     if code:
         return code
-    return service_leg(fixture)
+    code = service_leg(fixture)
+    if code:
+        return code
+    return expert_leg(fixture)
 
 
 def delta_legs(fixture) -> int:
@@ -260,6 +267,107 @@ def service_leg(fixture) -> int:
     print(
         "chaos smoke: service leg (mid-round tenant crash, journal "
         "recovery, unaffected co-tenants) is bit-identical"
+    )
+    return 0
+
+
+EXPERT_SPEC = ScenarioSpec(
+    strategy="likelihood",
+    oracle="noisy",
+    error_rate=0.2,
+    on_conflict="disapprove",
+    target_samples=120,
+    seed=SEED,
+)
+EXPERT_STEPS = 80
+#: Checkpoint cadence of the crashed runs: a crash leaves up to this many
+#: minus one journaled steps past the last checkpoint for the redo.
+EXPERT_CHECKPOINT_EVERY = 4
+#: Crash at every this-many-th step boundary (plus the retraction's).
+EXPERT_CRASH_STRIDE = 7
+
+
+def expert_trace_tuple(trace):
+    return (
+        trace.initial_uncertainty,
+        tuple(
+            (s.index, s.correspondence, s.approved, s.uncertainty, s.effort)
+            for s in trace.steps
+        ),
+    )
+
+
+def expert_leg(fixture) -> int:
+    """Crash a noisy expert after step boundaries; recovery is exact.
+
+    The golden run must retract an earlier approval, and one crash lands
+    right after that step, so the redo re-executes the conflict repair and
+    re-verifies its journaled ``retraction`` record.
+    """
+    from repro.durability import read_journal
+
+    golden = build_session(fixture, EXPERT_SPEC)
+    retraction_step = None
+    for _ in range(EXPERT_STEPS):
+        record = golden.step()
+        if record is None:
+            break
+        if retraction_step is None and golden.approvals_retracted:
+            retraction_step = record.index
+    if retraction_step is None:
+        print("chaos smoke: the expert golden run retracted no approval")
+        return 1
+    expected = expert_trace_tuple(golden.trace)
+    crashes = sorted(
+        set(range(EXPERT_CRASH_STRIDE, EXPERT_STEPS, EXPERT_CRASH_STRIDE))
+        | {retraction_step}
+    )
+    retraction_replayed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        for crash_step in crashes:
+            directory = pathlib.Path(tmp) / f"step{crash_step}"
+            session = build_session(fixture, EXPERT_SPEC)
+            step = session.step
+
+            def crashing_step(step=step, crash_step=crash_step):
+                record = step()
+                if record is not None and record.index == crash_step:
+                    raise SimulatedCrash(crash_step)
+                return record
+
+            session.step = crashing_step
+            try:
+                run_durable(
+                    session,
+                    directory,
+                    budget=EXPERT_STEPS,
+                    checkpoint_every=EXPERT_CHECKPOINT_EVERY,
+                )
+            except SimulatedCrash:
+                pass
+            else:
+                print(f"chaos smoke: no expert crash at step {crash_step}")
+                return 1
+            _, committed, _ = read_journal(directory / "journal.jsonl")
+            recovered, report = recover(directory)
+            retraction_replayed |= any(
+                record["type"] == "retraction"
+                and record["seq"] > report.checkpoint_seq
+                for record in committed
+            )
+            run_durable(recovered, directory, budget=EXPERT_STEPS)
+            if expert_trace_tuple(recovered.trace) != expected:
+                print(
+                    "chaos smoke: expert recovery diverged after a crash "
+                    f"at step {crash_step}"
+                )
+                return 1
+    if not retraction_replayed:
+        print("chaos smoke: no expert redo re-verified a retraction record")
+        return 1
+    print(
+        f"chaos smoke: expert leg ({len(crashes)} step-boundary crashes, "
+        f"a retraction at step {retraction_step} redone) is bit-identical"
     )
     return 0
 

@@ -14,13 +14,18 @@ membership matrix directly, and each assertion *conditions* the store's Ω*
 view instead of tearing it down.  The scalar semantics this replaced live
 on in :mod:`repro.core.reference_loop`; the equivalence harness keeps the
 two bit-for-bit identical under seeded runs.
+
+:class:`SessionCore` is the shell this loop shares with the crowd's batched
+one (:class:`~repro.crowd.session.CrowdSession`): one verdict integration
+(:meth:`SessionCore.integrate_verdict`), one delta transaction, one
+deliverable.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .correspondence import Correspondence
 from .feedback import Oracle
@@ -138,44 +143,33 @@ class ReconciliationTrace:
         return None
 
 
-class ReconciliationSession:
-    """Drives pay-as-you-go reconciliation of one probabilistic network.
+class SessionCore:
+    """The shell the expert and crowd loops share.
 
-    Parameters
-    ----------
-    pnet:
-        The probabilistic matching network ⟨N, P⟩ being reconciled.
-    oracle:
-        Answers assertions (normally a ground-truth-backed simulated expert).
-    strategy:
-        The ``select`` routine of Algorithm 1; defaults to the random
-        baseline.
-    journal:
-        Optional :class:`~repro.durability.journal.FeedbackJournal`; when
-        attached, every elicited verdict is journaled durably *before*
-        integration and every step ends with a commit record.
+    Both loops are Algorithm 1: select, elicit, integrate.  The expert
+    (:class:`ReconciliationSession`) asks one question per step, the crowd
+    (:class:`~repro.crowd.session.CrowdSession`) ``k`` per round; what
+    they repeat lives here once — the ``on_conflict`` policy and its
+    counters, the state views, verdict integration with constraint-trusting
+    repair (:meth:`integrate_verdict`), the write-ahead journaling of
+    network deltas (:meth:`apply_delta`) and the pay-as-you-go deliverable
+    (:meth:`current_matching`).  ``kind`` (``"expert"`` or ``"crowd"``)
+    names the loop to the journal, checkpoints, recovery and the service.
     """
 
+    kind: str = ""
+
     def __init__(
-        self,
-        pnet: ProbabilisticNetwork,
-        oracle: Oracle,
-        strategy: Optional[SelectionStrategy] = None,
-        rng: Optional[random.Random] = None,
-        on_conflict: str = "raise",
-        journal=None,
+        self, pnet: ProbabilisticNetwork, on_conflict: str, journal
     ):
         if on_conflict not in ("raise", "disapprove"):
             raise ValueError("on_conflict must be 'raise' or 'disapprove'")
         self.pnet = pnet
-        self.oracle = oracle
-        self.strategy = strategy or RandomSelection(rng=rng)
         self.on_conflict = on_conflict
         self.journal = journal
         self.conflicts_resolved = 0
         self.approvals_retracted = 0
         self.deltas_applied = 0
-        self.trace = ReconciliationTrace(initial_uncertainty=self.uncertainty())
 
     # ------------------------------------------------------------------
     # State inspection
@@ -191,7 +185,8 @@ class ReconciliationSession:
         return self.pnet.uncertainty()
 
     def effort(self) -> float:
-        """User effort spent so far, E = |F⁺ ∪ F⁻| / |C|."""
+        """User effort spent so far, E = |F⁺ ∪ F⁻| / |C| (questions asked,
+        not crowd answers collected)."""
         return self.pnet.feedback.effort(len(self.pnet.correspondences))
 
     def is_done(self) -> bool:
@@ -199,95 +194,69 @@ class ReconciliationSession:
         return len(self.pnet.uncertain_indices()) == 0
 
     # ------------------------------------------------------------------
-    # Algorithm 1
+    # Integration
     # ------------------------------------------------------------------
-    def step(self) -> Optional[ReconciliationStep]:
-        """One select→elicit→integrate iteration; None when reconciled.
+    def _repair_order(self) -> Mapping[Correspondence, int]:
+        """Rank of each earlier assertion, for the repair's tie-break."""
+        raise NotImplementedError
+
+    def integrate_verdict(
+        self, corr: Correspondence, approved: bool, key: str, index: int
+    ) -> bool:
+        """Record one elicited verdict; returns the verdict that stands.
 
         With a perfect oracle, approvals never contradict each other.  An
-        imperfect one (e.g. :class:`~repro.core.feedback.NoisyOracle`) may
-        approve correspondences that jointly violate Γ; the ``on_conflict``
-        policy decides whether that raises
-        (:class:`~repro.core.instances.InconsistentFeedbackError`, default)
-        or — trusting the constraints over the answer, as Section III-A
-        argues — repairs the feedback by retracting the *minority side* of
-        each violated constraint (:func:`resolve_conflicting_approval`):
-        the member with the fewest supporting approvals loses, newest
-        assertion as the tie-break.  ``conflicts_resolved`` counts the
-        conflicted steps, ``approvals_retracted`` the earlier approvals
-        re-filed as disapprovals along the way.
+        imperfect one (a noisy expert, a crowd's majority) may approve
+        correspondences that jointly violate Γ; the ``on_conflict`` policy
+        decides whether that raises
+        (:class:`~repro.core.instances.InconsistentFeedbackError`) or —
+        trusting the constraints over the answer, as Section III-A argues —
+        repairs the feedback by retracting the *minority side* of each
+        violated constraint (:func:`resolve_conflicting_approval`), which
+        may flip the verdict itself.  ``conflicts_resolved`` counts the
+        conflicted verdicts, ``approvals_retracted`` the earlier approvals
+        re-filed as disapprovals; with a journal attached each retraction
+        is journaled under the caller's transaction ``key`` (``"step"`` or
+        ``"round"``) and ``index``.
         """
         from .instances import InconsistentFeedbackError
 
-        corr = self.strategy.select(self.pnet)
-        if corr is None:
-            return None
-        step_index = len(self.trace.steps) + 1
-        approved = self.oracle.assert_correspondence(corr)
-        if self.journal is not None:
-            from .. import io as _io
-
-            self.journal.append(
-                {
-                    "type": "assertion",
-                    "step": step_index,
-                    "corr": _io.correspondence_to_dict(corr),
-                    "approved": bool(approved),
-                }
-            )
-        retracted: list[Correspondence] = []
         try:
             self.pnet.record_assertion(corr, approved)
+            return approved
         except InconsistentFeedbackError:
             if self.on_conflict == "raise":
                 raise
-            self.conflicts_resolved += 1
-            approved, retracted = resolve_conflicting_approval(
-                self.pnet,
-                corr,
-                {step.correspondence: step.index for step in self.trace.steps},
-            )
-            self.approvals_retracted += len(retracted)
-        if self.journal is not None and retracted:
+        self.conflicts_resolved += 1
+        approved, retracted = resolve_conflicting_approval(
+            self.pnet, corr, self._repair_order()
+        )
+        self.approvals_retracted += len(retracted)
+        if self.journal is not None:
             from .. import io as _io
 
             for victim in retracted:
                 self.journal.append(
                     {
                         "type": "retraction",
-                        "step": step_index,
+                        key: index,
                         "corr": _io.correspondence_to_dict(victim),
                         "cause": _io.correspondence_to_dict(corr),
                     }
                 )
-        record = ReconciliationStep(
-            index=step_index,
-            correspondence=corr,
-            approved=approved,
-            uncertainty=self.uncertainty(),
-            effort=self.effort(),
-        )
-        self.trace.steps.append(record)
-        if self.journal is not None:
-            self.journal.append(
-                {
-                    "type": "step-commit",
-                    "step": record.index,
-                    "approved": bool(record.approved),
-                    "uncertainty": record.uncertainty,
-                    "effort": record.effort,
-                }
-            )
-        return record
+        return approved
 
+    # ------------------------------------------------------------------
+    # Network evolution
+    # ------------------------------------------------------------------
     def apply_delta(self, delta, result=None):
         """Evolve the network mid-session by a ``NetworkDelta``.
 
         Feedback on surviving candidates is preserved (the estimator
         carries or re-conditions its state on it); feedback on removed
         candidates is retracted.  The session keeps running afterwards —
-        the trace continues, selection strategies see the re-merged
-        probability vector of the successor network.
+        the trace continues, selection sees the re-merged probability
+        vector of the successor network.
 
         With a journal attached the delta is a write-ahead transaction:
         the full delta payload is journaled *before* any state mutates
@@ -332,45 +301,6 @@ class ReconciliationSession:
             )
         return result
 
-    def run(
-        self,
-        budget: Optional[int] = None,
-        effort_budget: Optional[float] = None,
-        uncertainty_goal: Optional[float] = None,
-    ) -> ReconciliationTrace:
-        """Run until the reconciliation goal δ is met.
-
-        The goal is the disjunction of: an absolute assertion ``budget``, a
-        relative ``effort_budget`` (fraction of |C|), an
-        ``uncertainty_goal`` threshold, or full reconciliation when none is
-        given.
-
-        The ``uncertainty_goal`` check reuses the uncertainty each
-        :class:`ReconciliationStep` just recorded instead of recomputing
-        H(C, P) once more per iteration; only the first iteration (no step
-        taken yet) reads the live value.
-        """
-        total = len(self.pnet.correspondences)
-        current_uncertainty: Optional[float] = None
-        while True:
-            if budget is not None and len(self.trace.steps) >= budget:
-                break
-            if (
-                effort_budget is not None
-                and (len(self.trace.steps) + 1) / total > effort_budget + 1e-12
-            ):
-                break
-            if uncertainty_goal is not None:
-                if current_uncertainty is None:
-                    current_uncertainty = self.uncertainty()
-                if current_uncertainty <= uncertainty_goal:
-                    break
-            record = self.step()
-            if record is None:
-                break
-            current_uncertainty = record.uncertainty
-        return self.trace
-
     # ------------------------------------------------------------------
     # Pay-as-you-go output
     # ------------------------------------------------------------------
@@ -395,3 +325,148 @@ class ReconciliationSession:
             use_likelihood=use_likelihood,
             rng=rng,
         )
+
+
+class ReconciliationSession(SessionCore):
+    """Drives pay-as-you-go reconciliation of one probabilistic network.
+
+    Parameters
+    ----------
+    pnet:
+        The probabilistic matching network ⟨N, P⟩ being reconciled.
+    oracle:
+        Answers assertions (normally a ground-truth-backed simulated expert).
+    strategy:
+        The ``select`` routine of Algorithm 1; defaults to the random
+        baseline.
+    on_conflict:
+        ``"raise"`` (default) or ``"disapprove"``; see
+        :meth:`~SessionCore.integrate_verdict`.
+    journal:
+        Optional :class:`~repro.durability.journal.FeedbackJournal`; when
+        attached, every elicited verdict is journaled durably *before*
+        integration and every step ends with a commit record.
+    """
+
+    kind = "expert"
+
+    def __init__(
+        self,
+        pnet: ProbabilisticNetwork,
+        oracle: Oracle,
+        strategy: Optional[SelectionStrategy] = None,
+        rng: Optional[random.Random] = None,
+        on_conflict: str = "raise",
+        journal=None,
+    ):
+        super().__init__(pnet, on_conflict, journal)
+        self.oracle = oracle
+        self.strategy = strategy or RandomSelection(rng=rng)
+        self.trace = ReconciliationTrace(initial_uncertainty=self.uncertainty())
+
+    def _repair_order(self) -> Mapping[Correspondence, int]:
+        return {step.correspondence: step.index for step in self.trace.steps}
+
+    # ------------------------------------------------------------------
+    # Algorithm 1
+    # ------------------------------------------------------------------
+    def step(self) -> Optional[ReconciliationStep]:
+        """One select→elicit→integrate iteration; None when reconciled.
+
+        The verdict goes through :meth:`~SessionCore.integrate_verdict`,
+        so under ``on_conflict="disapprove"`` an approval that contradicts
+        Γ is repaired rather than raised, and the step records the verdict
+        that stands.
+        """
+        corr = self.strategy.select(self.pnet)
+        if corr is None:
+            return None
+        step_index = len(self.trace.steps) + 1
+        approved = self.oracle.assert_correspondence(corr)
+        if self.journal is not None:
+            from .. import io as _io
+
+            self.journal.append(
+                {
+                    "type": "assertion",
+                    "step": step_index,
+                    "corr": _io.correspondence_to_dict(corr),
+                    "approved": bool(approved),
+                }
+            )
+        approved = self.integrate_verdict(corr, approved, "step", step_index)
+        record = ReconciliationStep(
+            index=step_index,
+            correspondence=corr,
+            approved=approved,
+            uncertainty=self.uncertainty(),
+            effort=self.effort(),
+        )
+        self.trace.steps.append(record)
+        if self.journal is not None:
+            self.journal.append(
+                {
+                    "type": "step-commit",
+                    "step": record.index,
+                    "approved": bool(record.approved),
+                    "uncertainty": record.uncertainty,
+                    "effort": record.effort,
+                }
+            )
+        return record
+
+    def run(
+        self,
+        budget: Optional[int] = None,
+        effort_budget: Optional[float] = None,
+        uncertainty_goal: Optional[float] = None,
+    ) -> ReconciliationTrace:
+        """Run until the reconciliation goal δ is met.
+
+        The goal is the disjunction of: an absolute assertion ``budget``, a
+        relative ``effort_budget`` (fraction of |C|), an
+        ``uncertainty_goal`` threshold, or full reconciliation when none is
+        given.
+        """
+        for _ in self._until_goal(budget, effort_budget, uncertainty_goal):
+            pass
+        return self.trace
+
+    def _until_goal(
+        self,
+        budget: Optional[int],
+        effort_budget: Optional[float],
+        uncertainty_goal: Optional[float],
+    ) -> Iterator[ReconciliationStep]:
+        """:meth:`run`'s loop, yielding each step as it is taken.
+
+        The ``uncertainty_goal`` check reuses the uncertainty each
+        :class:`ReconciliationStep` just recorded instead of recomputing
+        H(C, P) once more per iteration; only the first check reads the
+        live (cached) value, which a network delta may have moved since
+        the last recorded step.
+        """
+        total = len(self.pnet.correspondences)
+        current_uncertainty: Optional[float] = None
+        while True:
+            if budget is not None and len(self.trace.steps) >= budget:
+                return
+            if (
+                effort_budget is not None
+                and (len(self.trace.steps) + 1) / total > effort_budget + 1e-12
+            ):
+                return
+            if uncertainty_goal is not None:
+                if current_uncertainty is None:
+                    current_uncertainty = self.uncertainty()
+                if current_uncertainty <= uncertainty_goal:
+                    return
+            record = self.step()
+            if record is None:
+                return
+            current_uncertainty = record.uncertainty
+            yield record
+
+    # perfbench wraps these through the class's own ``__dict__``.
+    apply_delta = SessionCore.apply_delta
+    current_matching = SessionCore.current_matching

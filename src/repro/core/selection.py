@@ -9,6 +9,15 @@ i.e. information gain without the network coupling), picking the most likely
 uncertain correspondence (likelihood-ordered review), and picking the
 correspondence with the lowest matcher confidence.
 
+Every strategy but the random baseline is a *scored* strategy: its
+:meth:`~SelectionStrategy.scores` maps the uncertain candidates to one
+float each (higher is better), and one shared
+:meth:`~SelectionStrategy.select` takes the argmax, breaking ties with a
+single ``rng.randrange`` over the tie set.  The crowd loop
+(:class:`~repro.crowd.session.CrowdSession`) ranks its top-k questions
+over the very same scores, so a scoring change lands in one place for
+both loops.
+
 The strategies consume the network's array views — the folded probability
 vector and the sample store's membership matrix — directly; Correspondence
 objects are materialised only for the single returned selection.  Tie-breaks
@@ -18,7 +27,6 @@ seeded sessions select identically.
 
 from __future__ import annotations
 
-import abc
 import random
 from typing import Optional
 
@@ -26,25 +34,7 @@ import numpy as np
 
 from .correspondence import Correspondence
 from .probability import ProbabilisticNetwork
-from .uncertainty import (
-    binary_entropy_cached,
-    information_gain_array,
-    information_gains,
-)
-
-
-class SelectionStrategy(abc.ABC):
-    """Chooses the next correspondence to show to the expert."""
-
-    name: str = "strategy"
-
-    @abc.abstractmethod
-    def select(self, pnet: ProbabilisticNetwork) -> Optional[Correspondence]:
-        """The next correspondence to assert, or None when nothing is left.
-
-        Only uncertain correspondences (0 < p < 1) qualify: certain ones have
-        zero information gain (Section IV-D).
-        """
+from .uncertainty import binary_entropy_cached, information_gain_array
 
 
 def _random_unasserted(
@@ -63,6 +53,57 @@ def _random_unasserted(
     return pnet.correspondences[int(indices[rng.randrange(len(indices))])]
 
 
+def _entropies(pnet: ProbabilisticNetwork, columns: np.ndarray) -> np.ndarray:
+    """Marginal entropies H(p_c) of the ``columns`` candidates."""
+    vector = pnet.probability_vector()
+    return np.asarray(
+        [binary_entropy_cached(p) for p in vector[columns].tolist()],
+        dtype=np.float64,
+    )
+
+
+class SelectionStrategy:
+    """Chooses the next correspondence to show to the expert.
+
+    Scored subclasses re-bind the shared ``select`` in their own class body
+    (``select = SelectionStrategy.select``): perfbench's tracer wraps the
+    ``select`` each strategy class defines itself.
+    """
+
+    name: str = "strategy"
+
+    def __init__(self, rng: Optional[random.Random] = None):
+        self.rng = rng or random.Random()
+
+    def scores(
+        self, pnet: ProbabilisticNetwork
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(columns, scores)``: the uncertain candidates and their scores.
+
+        ``columns`` are engine indices in ascending order (unless the
+        strategy filters them), ``scores`` one float64 per column, higher
+        is better.  Only uncertain correspondences (0 < p < 1) are scored:
+        certain ones have zero information gain (Section IV-D).  Both
+        arrays are empty when nothing is uncertain.
+        """
+        raise NotImplementedError(f"{self.name} selection scores nothing")
+
+    def select(self, pnet: ProbabilisticNetwork) -> Optional[Correspondence]:
+        """The next correspondence to assert, or None when nothing is left.
+
+        The argmax of :meth:`scores`, ties broken by one
+        ``rng.randrange`` over the tie set in column order.  With nothing
+        uncertain left it falls back to a uniform draw over the unasserted
+        candidates (zero gain), so effort sweeps can continue.
+        """
+        columns, scores = self.scores(pnet)
+        if len(columns) == 0:
+            return _random_unasserted(pnet, self.rng)
+        best = np.flatnonzero(scores == scores.max())
+        choice = best[self.rng.randrange(len(best))]
+        return pnet.correspondences[int(columns[choice])]
+
+
 class RandomSelection(SelectionStrategy):
     """The paper's baseline: an expert working without support tools.
 
@@ -72,9 +113,6 @@ class RandomSelection(SelectionStrategy):
     """
 
     name = "random"
-
-    def __init__(self, rng: Optional[random.Random] = None):
-        self.rng = rng or random.Random()
 
     def select(self, pnet: ProbabilisticNetwork) -> Optional[Correspondence]:
         return _random_unasserted(pnet, self.rng)
@@ -98,16 +136,15 @@ class InformationGainSelection(SelectionStrategy):
         rng: Optional[random.Random] = None,
         max_candidates: Optional[int] = None,
     ):
-        self.rng = rng or random.Random()
+        super().__init__(rng)
         self.max_candidates = max_candidates
 
-    def select(self, pnet: ProbabilisticNetwork) -> Optional[Correspondence]:
+    def scores(
+        self, pnet: ProbabilisticNetwork
+    ) -> tuple[np.ndarray, np.ndarray]:
         columns = pnet.uncertain_indices()
         if len(columns) == 0:
-            # Nothing informative left: fall back to any unasserted
-            # correspondence (zero gain) so effort sweeps can continue, or
-            # report completion.
-            return _random_unasserted(pnet, self.rng)
+            return columns, np.empty(0)
         membership_matrix = getattr(
             pnet.estimator, "membership_matrix", None
         )
@@ -122,10 +159,7 @@ class InformationGainSelection(SelectionStrategy):
             # Two-stage filter: keep the highest-marginal-entropy targets.
             # ``sorted`` is stable, so ties keep ascending-index order —
             # exactly the mapping-based behaviour.
-            vector = pnet.probability_vector()
-            entropies = [
-                binary_entropy_cached(p) for p in vector[columns].tolist()
-            ]
+            entropies = _entropies(pnet, columns).tolist()
             order = sorted(
                 range(len(columns)), key=entropies.__getitem__, reverse=True
             )[: self.max_candidates]
@@ -133,10 +167,9 @@ class InformationGainSelection(SelectionStrategy):
         # One batched gain reduction over the store's cached float matrix —
         # the same array core information_gains funnels through, so the
         # floats (and tie sets) match the mapping API bit-for-bit.
-        gains = information_gain_array(membership_matrix(), columns)
-        best = np.flatnonzero(gains == gains.max())
-        choice = best[self.rng.randrange(len(best))]
-        return pnet.correspondences[int(columns[choice])]
+        return columns, information_gain_array(membership_matrix(), columns)
+
+    select = SelectionStrategy.select
 
 
 def rank_by_information_gain(
@@ -150,22 +183,12 @@ def rank_by_information_gain(
     gains shift, so the list is a prioritisation, not a guarantee of
     additive gain.
     """
-    uncertain = pnet.uncertain_correspondences()
-    if not uncertain:
-        return []
-    membership_matrix = getattr(pnet.estimator, "membership_matrix", None)
-    if membership_matrix is None:
-        raise TypeError(
-            "information-gain ranking needs a sampling estimator exposing "
-            "membership_matrix (SampledEstimator or ShardedEstimator)"
-        )
-    gains = information_gains(
-        (),
-        pnet.correspondences,
-        restrict_to=uncertain,
-        matrix=membership_matrix(),
+    columns, gains = InformationGainSelection().scores(pnet)
+    correspondences = pnet.correspondences
+    ranked = sorted(
+        zip([correspondences[i] for i in columns.tolist()], gains.tolist()),
+        key=lambda item: (-item[1], item[0]),
     )
-    ranked = sorted(gains.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k] if k is not None else ranked
 
 
@@ -179,21 +202,13 @@ class EntropySelection(SelectionStrategy):
 
     name = "entropy"
 
-    def __init__(self, rng: Optional[random.Random] = None):
-        self.rng = rng or random.Random()
+    def scores(
+        self, pnet: ProbabilisticNetwork
+    ) -> tuple[np.ndarray, np.ndarray]:
+        columns = pnet.uncertain_indices()
+        return columns, _entropies(pnet, columns)
 
-    def select(self, pnet: ProbabilisticNetwork) -> Optional[Correspondence]:
-        uncertain = pnet.uncertain_indices()
-        if len(uncertain) == 0:
-            return _random_unasserted(pnet, self.rng)
-        vector = pnet.probability_vector()
-        entropies = [
-            binary_entropy_cached(p) for p in vector[uncertain].tolist()
-        ]
-        best_entropy = max(entropies)
-        best = [i for i, h in enumerate(entropies) if h == best_entropy]
-        choice = best[self.rng.randrange(len(best))]
-        return pnet.correspondences[int(uncertain[choice])]
+    select = SelectionStrategy.select
 
 
 class LikelihoodSelection(SelectionStrategy):
@@ -207,36 +222,61 @@ class LikelihoodSelection(SelectionStrategy):
 
     name = "likelihood"
 
-    def __init__(self, rng: Optional[random.Random] = None):
-        self.rng = rng or random.Random()
+    def scores(
+        self, pnet: ProbabilisticNetwork
+    ) -> tuple[np.ndarray, np.ndarray]:
+        columns = pnet.uncertain_indices()
+        return columns, pnet.probability_vector()[columns]
 
-    def select(self, pnet: ProbabilisticNetwork) -> Optional[Correspondence]:
-        uncertain = pnet.uncertain_indices()
-        if len(uncertain) == 0:
-            return _random_unasserted(pnet, self.rng)
-        probabilities = pnet.probability_vector()[uncertain]
-        best = np.flatnonzero(probabilities == probabilities.max())
-        choice = best[self.rng.randrange(len(best))]
-        return pnet.correspondences[int(uncertain[choice])]
+    select = SelectionStrategy.select
 
 
 class ConfidenceSelection(SelectionStrategy):
     """Ablation: lowest matcher confidence first.
 
     A plausible manual-tooling policy — review the matches the matcher was
-    least sure about — that ignores the network structure entirely.
+    least sure about — that ignores the network structure entirely.  The
+    score is the negated confidence, so the shared argmax picks the lowest.
     """
 
     name = "confidence"
 
-    def __init__(self, rng: Optional[random.Random] = None):
-        self.rng = rng or random.Random()
-
-    def select(self, pnet: ProbabilisticNetwork) -> Optional[Correspondence]:
-        uncertain = pnet.uncertain_correspondences()
-        if not uncertain:
-            return _random_unasserted(pnet, self.rng)
+    def scores(
+        self, pnet: ProbabilisticNetwork
+    ) -> tuple[np.ndarray, np.ndarray]:
+        columns = pnet.uncertain_indices()
         confidence = pnet.network.candidates.confidence
-        lowest = min(confidence(c) for c in uncertain)
-        best = [c for c in uncertain if confidence(c) == lowest]
-        return best[self.rng.randrange(len(best))]
+        correspondences = pnet.correspondences
+        return columns, -np.asarray(
+            [confidence(correspondences[i]) for i in columns.tolist()],
+            dtype=np.float64,
+        )
+
+    select = SelectionStrategy.select
+
+
+#: Selection strategies by name: scenarios build them, checkpoints restore
+#: them, and crowd sessions rank questions by their scores.
+STRATEGIES: dict[str, type[SelectionStrategy]] = {
+    cls.name: cls
+    for cls in (
+        RandomSelection,
+        InformationGainSelection,
+        EntropySelection,
+        LikelihoodSelection,
+        ConfidenceSelection,
+    )
+}
+
+
+def make_strategy(
+    name: str, rng: Optional[random.Random] = None
+) -> SelectionStrategy:
+    """Instantiate a registered selection strategy by name."""
+    try:
+        factory = STRATEGIES[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown strategy {name!r}; available: {sorted(STRATEGIES)}"
+        ) from None
+    return factory(rng=rng)

@@ -4,19 +4,20 @@
 :class:`~repro.core.reconciliation.ReconciliationSession`.  Instead of one
 expert answering one question per step, each :meth:`round`:
 
-1. **selects** the top-``k`` questions from the core's batched arrays — the
-   information-gain vector over the sample-membership matrix, the folded
-   probability vector, or marginal entropies (``criterion``);
+1. **selects** the top-``k`` questions by the ``criterion`` strategy's
+   :meth:`~repro.core.selection.SelectionStrategy.scores` — the very
+   scores the single-expert argmax reads (information gain over the
+   sample-membership matrix, the folded probability vector, or marginal
+   entropies) — with a stable sort and conflict-partner diversification;
 2. **dispatches** every question to ``redundancy`` distinct workers via the
    assignment policy, charging the budget ledger per answer (questions are
    truncated or skipped when the cap cannot fund them — budget exhaustion
    mid-round is a first-class outcome, not an error);
 3. **aggregates** each question's votes into one approve/disapprove verdict
-   and feeds it through the existing feedback plumbing —
-   ``record_assertion`` plus, for approvals that contradict Γ, the same
-   minority-side conflict repair
-   (:func:`~repro.core.reconciliation.resolve_conflicting_approval`) the
-   single-expert loop uses;
+   and integrates it through the same
+   :meth:`~repro.core.reconciliation.SessionCore.integrate_verdict` the
+   single-expert loop uses — ``record_assertion`` plus, for approvals that
+   contradict Γ, minority-side conflict repair;
 4. **records** the round — questions, votes, verdicts, conflicts, spend and
    the resulting uncertainty/effort — in a :class:`CrowdTrace`, and updates
    the per-worker agreement statistics that the reliability-weighted
@@ -31,23 +32,23 @@ case.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
 from ..core.correspondence import Correspondence
-from ..core.probability import ProbabilisticNetwork, SampledEstimator
-from ..core.reconciliation import resolve_conflicting_approval
-from ..core.uncertainty import binary_entropy_cached, information_gain_array
+from ..core.probability import ProbabilisticNetwork
+from ..core.reconciliation import SessionCore
+from ..core.selection import make_strategy
 from ..io import correspondence_to_dict
 from .aggregation import Aggregator, MajorityVote, Vote, WorkerStats
 from .assignment import AssignmentPolicy, RoundRobinAssignment
 from .budget import BudgetLedger
 from .workers import WorkerPool
 
-#: Question-selection criteria a session supports.
+#: Question-selection criteria a session supports: the registered
+#: selection strategies whose scores a round ranks.
 CRITERIA = ("information-gain", "likelihood", "entropy")
 
 
@@ -130,7 +131,7 @@ class CrowdTrace:
         return uncertainty
 
 
-class CrowdSession:
+class CrowdSession(SessionCore):
     """Drives crowd reconciliation of one probabilistic network.
 
     Parameters
@@ -144,7 +145,8 @@ class CrowdSession:
     redundancy:
         Distinct workers per question (clamped to the pool size).
     criterion:
-        Question ranking: ``information-gain`` (needs a sampled estimator),
+        Question ranking, by the scores of the selection strategy of that
+        name: ``information-gain`` (needs a sampled or sharded estimator),
         ``likelihood`` or ``entropy``.  Ranking ties break to the lower
         candidate index — batch selection is deterministic by design, so
         crowd traces are reproducible given the pool seed.
@@ -173,6 +175,8 @@ class CrowdSession:
         integration and every round ends with a commit record.
     """
 
+    kind = "crowd"
+
     def __init__(
         self,
         pnet: ProbabilisticNetwork,
@@ -194,24 +198,18 @@ class CrowdSession:
             raise ValueError("redundancy must be at least 1")
         if criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
-        if on_conflict not in ("raise", "disapprove"):
-            raise ValueError("on_conflict must be 'raise' or 'disapprove'")
-        self.pnet = pnet
+        super().__init__(pnet, on_conflict, journal)
         self.pool = pool
         self.k = k
         self.redundancy = min(redundancy, len(pool))
         self.criterion = criterion
+        self._scorer = make_strategy(criterion)
         self.assignment = assignment or RoundRobinAssignment()
         self.aggregator = aggregator or MajorityVote()
         self.ledger = ledger or BudgetLedger()
-        self.on_conflict = on_conflict
         self.diversify = diversify
         self.faults = faults
-        self.journal = journal
         self.stats = WorkerStats()
-        self.conflicts_resolved = 0
-        self.approvals_retracted = 0
-        self.deltas_applied = 0
         self._assertion_order: dict[Correspondence, int] = {}
         #: Questions that collected zero votes under fault injection and
         #: were re-queued; served ahead of fresh selections next round.
@@ -221,18 +219,6 @@ class CrowdSession:
     # ------------------------------------------------------------------
     # State inspection
     # ------------------------------------------------------------------
-    def uncertainty(self) -> float:
-        """Current network uncertainty H(C, P) (cached vector reduction)."""
-        return self.pnet.uncertainty()
-
-    def effort(self) -> float:
-        """Crowd effort so far, |F⁺ ∪ F⁻| / |C| (questions, not answers)."""
-        return self.pnet.feedback.effort(len(self.pnet.correspondences))
-
-    def is_done(self) -> bool:
-        """True when no uncertain correspondence remains."""
-        return len(self.pnet.uncertain_indices()) == 0
-
     def per_worker_report(self) -> Mapping[str, dict]:
         """Per-worker trace summary: answers, spend share, estimated and
         true accuracy — the marketplace-operator view."""
@@ -275,37 +261,20 @@ class CrowdSession:
         return (requeued + fresh)[: self.k]
 
     def _select_ranked(self) -> list[Correspondence]:
-        """The criterion's top-``k`` ranking over the batched arrays.
+        """The criterion's top-``k`` ranking over the strategy's scores.
 
-        Scores come straight from the core's batched representations — the
-        information-gain vector over the store's membership matrix, the
-        folded probability vector, or per-candidate entropies.  When no
+        The scores are exactly those the single-expert strategy of the
+        same name takes its argmax over
+        (:meth:`~repro.core.selection.SelectionStrategy.scores`).  When no
         uncertain candidate remains but unasserted ones do, those are
         served in index order (zero gain — the same fallback the
         single-expert strategies use, so budget sweeps keep moving).
         """
         pnet = self.pnet
-        columns = pnet.uncertain_indices()
+        columns, scores = self._scorer.scores(pnet)
         if len(columns) == 0:
             remaining = pnet.unasserted_indices()[: self.k]
             return [pnet.correspondences[int(i)] for i in remaining]
-        if self.criterion == "information-gain":
-            if not isinstance(pnet.estimator, SampledEstimator):
-                raise TypeError(
-                    "information-gain question selection needs a "
-                    "SampledEstimator; use criterion='entropy' with exact "
-                    "estimators instead"
-                )
-            scores = information_gain_array(
-                pnet.estimator.membership_matrix(), columns
-            )
-        elif self.criterion == "likelihood":
-            scores = pnet.probability_vector()[columns]
-        else:  # entropy
-            vector = pnet.probability_vector()
-            scores = np.asarray(
-                [binary_entropy_cached(p) for p in vector[columns].tolist()]
-            )
         # Stable descending sort: equal scores keep ascending candidate
         # index, making batch selection deterministic.
         order = np.argsort(-scores, kind="stable")
@@ -341,29 +310,8 @@ class CrowdSession:
     # ------------------------------------------------------------------
     # The crowd loop
     # ------------------------------------------------------------------
-    def _integrate(
-        self, corr: Correspondence, approved: bool
-    ) -> tuple[bool, list[Correspondence]]:
-        """Feed one aggregated verdict through the feedback plumbing.
-
-        Returns the final verdict (conflict repair may flip it) plus the
-        approvals the repair retracted, so callers can journal them.
-        """
-        from ..core.instances import InconsistentFeedbackError
-
-        retracted: list[Correspondence] = []
-        try:
-            self.pnet.record_assertion(corr, approved)
-        except InconsistentFeedbackError:
-            if self.on_conflict == "raise":
-                raise
-            self.conflicts_resolved += 1
-            approved, retracted = resolve_conflicting_approval(
-                self.pnet, corr, self._assertion_order
-            )
-            self.approvals_retracted += len(retracted)
-        self._assertion_order[corr] = len(self._assertion_order) + 1
-        return approved, retracted
+    def _repair_order(self) -> Mapping[Correspondence, int]:
+        return self._assertion_order
 
     def _dispatch_faulted(
         self, corr: Correspondence, workers
@@ -503,17 +451,8 @@ class CrowdSession:
                         "verdict": bool(verdict),
                     }
                 )
-            verdict, retracted = self._integrate(corr, verdict)
-            if self.journal is not None:
-                for victim in retracted:
-                    self.journal.append(
-                        {
-                            "type": "retraction",
-                            "round": round_index,
-                            "corr": correspondence_to_dict(victim),
-                            "cause": correspondence_to_dict(corr),
-                        }
-                    )
+            verdict = self.integrate_verdict(corr, verdict, "round", round_index)
+            self._assertion_order[corr] = len(self._assertion_order) + 1
             asked.append(corr)
             verdicts.append(verdict)
             votes_record.append(tuple(votes))
@@ -560,41 +499,21 @@ class CrowdSession:
     def apply_delta(self, delta, result=None):
         """Evolve the network mid-session by a ``NetworkDelta``.
 
-        Crowd counterpart of
-        :meth:`~repro.core.reconciliation.ReconciliationSession.apply_delta`
-        — same write-ahead journaling (full delta payload before any
-        mutation, ``delta-commit`` with the post-delta uncertainty after)
-        and the same feedback semantics: surviving candidates keep their
-        verdicts, removed ones are retracted.  Session-local bookkeeping
+        :meth:`SessionCore.apply_delta
+        <repro.core.reconciliation.SessionCore.apply_delta>` — the same
+        write-ahead transaction and feedback semantics as the
+        single-expert loop — then the crowd's session-local bookkeeping
         keyed on candidates (the conflict-repair assertion order and the
         fault re-queue) is filtered of removed candidates too; worker
         reliability statistics are about workers, not candidates, and
         survive untouched.  Returns the
         :class:`~repro.core.delta.DeltaResult`.
-
-        ``result`` optionally supplies a precomputed
-        :class:`~repro.core.delta.DeltaResult` for this exact delta
-        against this session's current network object (the multi-tenant
-        service's cross-tenant sharing — ``apply_network_delta`` is pure,
-        so the shared successor is bit-identical to a private one).
         """
-        if result is None:
-            result = self.pnet.network.apply_delta(delta)
-        elif result.delta != delta:
-            raise ValueError(
-                "precomputed DeltaResult was built for a different delta"
-            )
-        if self.journal is not None:
-            from .. import io as _io
-
-            self.journal.append(
-                {"type": "delta", "delta": _io.delta_to_dict(delta)}
-            )
-        self.pnet.apply_delta(result)
+        result = super().apply_delta(delta, result)
         removed = result.removed_correspondences
         if removed:
             # Renumber the surviving assertion order compactly (rank
-            # preserved): _integrate assigns the next order as len+1, so
+            # preserved): round() assigns the next order as len+1, so
             # holes would let a future assertion collide with an existing
             # rank — and the compact numbering is exactly what a fresh
             # session replaying the surviving feedback in order builds.
@@ -611,15 +530,6 @@ class CrowdSession:
             self._requeued = [
                 corr for corr in self._requeued if corr not in removed
             ]
-        self.deltas_applied += 1
-        if self.journal is not None:
-            self.journal.append(
-                {
-                    "type": "delta-commit",
-                    "delta_index": self.deltas_applied,
-                    "uncertainty": self.uncertainty(),
-                }
-            )
         return result
 
     def run(
@@ -634,52 +544,46 @@ class CrowdSession:
         (the final round is trimmed so the cap is never overshot — the
         crowd analogue of the single-expert effort budget), an
         ``uncertainty_goal`` reached, the budget cap (the ledger refuses
-        further answers), or nothing left to ask.  The uncertainty check
-        reuses each round's recorded value, mirroring
+        further answers), or nothing left to ask.
+        """
+        for _ in self._until_goal(rounds, questions, uncertainty_goal):
+            pass
+        return self.trace
+
+    def _until_goal(
+        self,
+        rounds: Optional[int],
+        questions: Optional[int],
+        uncertainty_goal: Optional[float],
+    ) -> Iterator[CrowdRound]:
+        """:meth:`run`'s loop, yielding each round that asked something.
+
+        The uncertainty check reuses each round's recorded value; only the
+        first check reads the live (cached) value, which a network delta
+        may have moved since the last recorded round — mirroring
         :meth:`~repro.core.reconciliation.ReconciliationSession.run`.
         """
-        current = self.trace.final_uncertainty
+        current: Optional[float] = None
         while True:
             if rounds is not None and len(self.trace.rounds) >= rounds:
-                break
-            if uncertainty_goal is not None and current <= uncertainty_goal:
-                break
+                return
+            if uncertainty_goal is not None:
+                if current is None:
+                    current = self.uncertainty()
+                if current <= uncertainty_goal:
+                    return
             remaining = (
                 questions - self.trace.questions_asked
                 if questions is not None
                 else None
             )
             record = self.round(max_questions=remaining)
-            if record is None:
-                break
-            if not record.questions:
+            if record is None or not record.questions:
                 # A fully-faulted round (every question lost to dropouts or
                 # timeouts) made no progress; stop rather than loop forever.
-                break
+                return
             current = record.uncertainty
-        return self.trace
+            yield record
 
-    # ------------------------------------------------------------------
-    # Pay-as-you-go output
-    # ------------------------------------------------------------------
-    def current_matching(
-        self,
-        iterations: int = 100,
-        use_likelihood: bool = True,
-        rng: Optional[random.Random] = None,
-    ) -> frozenset[Correspondence]:
-        """Instantiate a trusted matching from the *current* crowd state —
-        callable at any budget point, like the single-expert session's.
-
-        On a sharded session it is solved per violation component (see
-        :func:`~repro.core.instantiation.instantiate`): once every shard is
-        enumerated the answer is exact, and ``rng`` and ``iterations`` no
-        longer change it."""
-        from ..core.instantiation import instantiate
-
-        return instantiate(
-            self.pnet,
-            iterations=iterations,
-            use_likelihood=use_likelihood,
-            rng=rng,
-        )
+    # perfbench wraps this through the class's own ``__dict__``.
+    current_matching = SessionCore.current_matching

@@ -18,6 +18,11 @@ session's future behaviour depends on:
   re-queue, the full trace, and the fault plan (including its private RNG
   stream) when one is attached.
 
+One encoder/decoder pair (:func:`checkpoint_to_dict`,
+:func:`session_from_dict`) handles the fields both session kinds share —
+network, estimator, ``on_conflict``, counters, initial uncertainty,
+journal position — and each kind's codec adds only its own fields.
+
 ``save_checkpoint`` writes atomically (temp file + ``os.replace``);
 ``restore_session`` rebuilds a live session that continues the *same*
 random streams — a restored run is bit-identical to one that never stopped,
@@ -45,21 +50,18 @@ from ..core.probability import ProbabilisticNetwork, SampledEstimator
 from ..core.reconciliation import (
     ReconciliationSession,
     ReconciliationStep,
-    ReconciliationTrace,
+    SessionCore,
 )
 from ..core.sampling import InstanceSampler, SampleStore
 from ..core.selection import (
-    ConfidenceSelection,
-    EntropySelection,
+    STRATEGIES,
     InformationGainSelection,
-    LikelihoodSelection,
-    RandomSelection,
-    SelectionStrategy,
+    make_strategy,
 )
 from ..crowd.assignment import ASSIGNMENTS, AssignmentPolicy
 from ..crowd.aggregation import make_aggregator
 from ..crowd.budget import BudgetLedger
-from ..crowd.session import CrowdRound, CrowdSession, CrowdTrace
+from ..crowd.session import CrowdRound, CrowdSession
 from ..crowd.workers import Worker, WorkerPool
 from ..shard import ShardedEstimator, ShardedSampleStore
 from ..io import (
@@ -74,19 +76,6 @@ from ..io import (
 from .faults import FaultPlan, RetryPolicy
 
 CHECKPOINT_KIND = "session-checkpoint"
-
-#: Selection strategies restorable by name (mirrors the scenario registry;
-#: kept local so durability never imports the experiments layer).
-_STRATEGIES: dict[str, type[SelectionStrategy]] = {
-    cls.name: cls
-    for cls in (
-        RandomSelection,
-        InformationGainSelection,
-        EntropySelection,
-        LikelihoodSelection,
-        ConfidenceSelection,
-    )
-}
 
 
 def _json_default(value):
@@ -424,7 +413,7 @@ def _crowd_round_from_dict(document: dict) -> CrowdRound:
     )
 
 
-def _crowd_session_to_dict(session: CrowdSession) -> dict:
+def _crowd_fields(session: CrowdSession) -> dict:
     pool = session.pool
     truths = {worker.selective_matching for worker in pool}
     if len(truths) != 1:
@@ -432,15 +421,9 @@ def _crowd_session_to_dict(session: CrowdSession) -> dict:
             "checkpointing expects one shared ground truth across the pool"
         )
     return {
-        "kind": CHECKPOINT_KIND,
-        "version": FORMAT_VERSION,
-        "session": "crowd",
-        "network": network_to_dict(session.pnet.network),
-        "pnet": _pnet_to_dict(session.pnet),
         "k": session.k,
         "redundancy": session.redundancy,
         "criterion": session.criterion,
-        "on_conflict": session.on_conflict,
         "diversify": session.diversify,
         "assignment": {
             "name": session.assignment.name,
@@ -449,9 +432,6 @@ def _crowd_session_to_dict(session: CrowdSession) -> dict:
         "aggregator": {"name": session.aggregator.name},
         "ledger": session.ledger.get_state(),
         "stats": session.stats.get_state(),
-        "conflicts_resolved": session.conflicts_resolved,
-        "approvals_retracted": session.approvals_retracted,
-        "deltas_applied": session.deltas_applied,
         "assertion_order": [
             [correspondence_to_dict(corr), position]
             for corr, position in session._assertion_order.items()
@@ -471,7 +451,6 @@ def _crowd_session_to_dict(session: CrowdSession) -> dict:
             ],
         },
         "trace": {
-            "initial_uncertainty": session.trace.initial_uncertainty,
             "rounds": [
                 _crowd_round_to_dict(record)
                 for record in session.trace.rounds
@@ -480,16 +459,11 @@ def _crowd_session_to_dict(session: CrowdSession) -> dict:
         "faults": (
             None if session.faults is None else faultplan_to_dict(session.faults)
         ),
-        "journal_seq": (
-            None if session.journal is None else session.journal.seq
-        ),
     }
 
 
-def _crowd_session_from_dict(document: dict) -> CrowdSession:
-    network = network_from_dict(document["network"])
-    schemas = {schema.name: schema for schema in network.schemas}
-    pnet = _pnet_from_dict(document["pnet"], network)
+def _crowd_session(document: dict, pnet: ProbabilisticNetwork) -> CrowdSession:
+    schemas = {schema.name: schema for schema in pnet.network.schemas}
     pool_doc = document["pool"]
     truth = _truth_from_list(pool_doc["truth"])
     workers = []
@@ -526,20 +500,14 @@ def _crowd_session_from_dict(document: dict) -> CrowdSession:
         faults=None if faults_doc is None else faultplan_from_dict(faults_doc),
     )
     session.stats.set_state(document["stats"])
-    session.conflicts_resolved = document["conflicts_resolved"]
-    session.approvals_retracted = document["approvals_retracted"]
-    # Version-1 checkpoints predate network deltas.
-    session.deltas_applied = document.get("deltas_applied", 0)
     session._assertion_order = {
         correspondence_from_dict(entry, schemas): position
         for entry, position in document["assertion_order"]
     }
     session._requeued = _corrs_from_list(document["requeued"], schemas)
-    trace_doc = document["trace"]
-    session.trace = CrowdTrace(
-        initial_uncertainty=trace_doc["initial_uncertainty"],
-        rounds=[_crowd_round_from_dict(entry) for entry in trace_doc["rounds"]],
-    )
+    session.trace.rounds = [
+        _crowd_round_from_dict(entry) for entry in document["trace"]["rounds"]
+    ]
     return session
 
 
@@ -548,9 +516,9 @@ def _crowd_session_from_dict(document: dict) -> CrowdSession:
 # ---------------------------------------------------------------------------
 
 
-def _expert_session_to_dict(session: ReconciliationSession) -> dict:
+def _expert_fields(session: ReconciliationSession) -> dict:
     strategy = session.strategy
-    if strategy.name not in _STRATEGIES:
+    if strategy.name not in STRATEGIES:
         raise FormatError(
             f"selection strategy {strategy.name!r} is not checkpointable"
         )
@@ -573,23 +541,13 @@ def _expert_session_to_dict(session: ReconciliationSession) -> dict:
             f"oracle {type(oracle).__name__} is not checkpointable"
         )
     return {
-        "kind": CHECKPOINT_KIND,
-        "version": FORMAT_VERSION,
-        "session": "expert",
-        "network": network_to_dict(session.pnet.network),
-        "pnet": _pnet_to_dict(session.pnet),
-        "on_conflict": session.on_conflict,
         "strategy": {
             "name": strategy.name,
             "rng": strategy.rng.getstate(),
             "max_candidates": getattr(strategy, "max_candidates", None),
         },
         "oracle": oracle_doc,
-        "conflicts_resolved": session.conflicts_resolved,
-        "approvals_retracted": session.approvals_retracted,
-        "deltas_applied": session.deltas_applied,
         "trace": {
-            "initial_uncertainty": session.trace.initial_uncertainty,
             "steps": [
                 {
                     "index": step.index,
@@ -601,24 +559,16 @@ def _expert_session_to_dict(session: ReconciliationSession) -> dict:
                 for step in session.trace.steps
             ],
         },
-        "journal_seq": (
-            None if session.journal is None else session.journal.seq
-        ),
     }
 
 
-def _expert_session_from_dict(document: dict) -> ReconciliationSession:
-    network = network_from_dict(document["network"])
-    pnet = _pnet_from_dict(document["pnet"], network)
+def _expert_session(
+    document: dict, pnet: ProbabilisticNetwork
+) -> ReconciliationSession:
     strategy_doc = document["strategy"]
-    strategy_cls = _STRATEGIES[strategy_doc["name"]]
-    if strategy_cls is InformationGainSelection:
-        strategy = strategy_cls(
-            rng=random.Random(),
-            max_candidates=strategy_doc.get("max_candidates"),
-        )
-    else:
-        strategy = strategy_cls(rng=random.Random())
+    strategy = make_strategy(strategy_doc["name"], random.Random())
+    if isinstance(strategy, InformationGainSelection):
+        strategy.max_candidates = strategy_doc.get("max_candidates")
     strategy.rng.setstate(_rng_from_json(strategy_doc["rng"]))
     oracle_doc = document["oracle"]
     truth = _truth_from_list(oracle_doc["truth"])
@@ -638,24 +588,16 @@ def _expert_session_from_dict(document: dict) -> ReconciliationSession:
         strategy,
         on_conflict=document["on_conflict"],
     )
-    session.conflicts_resolved = document["conflicts_resolved"]
-    session.approvals_retracted = document["approvals_retracted"]
-    # Version-1 checkpoints predate network deltas.
-    session.deltas_applied = document.get("deltas_applied", 0)
-    trace_doc = document["trace"]
-    session.trace = ReconciliationTrace(
-        initial_uncertainty=trace_doc["initial_uncertainty"],
-        steps=[
-            ReconciliationStep(
-                index=entry["index"],
-                correspondence=_detached_corr(entry["corr"]),
-                approved=entry["approved"],
-                uncertainty=entry["uncertainty"],
-                effort=entry["effort"],
-            )
-            for entry in trace_doc["steps"]
-        ],
-    )
+    session.trace.steps = [
+        ReconciliationStep(
+            index=entry["index"],
+            correspondence=_detached_corr(entry["corr"]),
+            approved=entry["approved"],
+            uncertainty=entry["uncertainty"],
+            effort=entry["effort"],
+        )
+        for entry in document["trace"]["steps"]
+    ]
     return session
 
 
@@ -663,33 +605,60 @@ def _expert_session_from_dict(document: dict) -> ReconciliationSession:
 # Public API
 # ---------------------------------------------------------------------------
 
-
-def checkpoint_to_dict(
-    session: "CrowdSession | ReconciliationSession",
-) -> dict:
-    """The checkpoint document of a live session."""
-    if isinstance(session, CrowdSession):
-        return _crowd_session_to_dict(session)
-    if isinstance(session, ReconciliationSession):
-        return _expert_session_to_dict(session)
-    raise TypeError(f"cannot checkpoint {type(session).__name__}")
+#: Per session kind: the encoder of the fields only that kind writes, and
+#: the decoder building the live session over a restored network.
+_CODECS = {
+    "crowd": (_crowd_fields, _crowd_session),
+    "expert": (_expert_fields, _expert_session),
+}
 
 
-def session_from_dict(
-    document: dict,
-) -> "CrowdSession | ReconciliationSession":
+def checkpoint_to_dict(session: SessionCore) -> dict:
+    """The checkpoint document of a live session.
+
+    The fields both kinds share — the network, the estimator state, the
+    conflict policy and counters, the initial uncertainty and the journal
+    position — are written here; the kind's encoder adds the rest.
+    """
+    codec = _CODECS.get(getattr(session, "kind", None))
+    if codec is None:
+        raise TypeError(f"cannot checkpoint {type(session).__name__}")
+    document = codec[0](session)
+    document.update(
+        kind=CHECKPOINT_KIND,
+        version=FORMAT_VERSION,
+        session=session.kind,
+        network=network_to_dict(session.pnet.network),
+        pnet=_pnet_to_dict(session.pnet),
+        on_conflict=session.on_conflict,
+        conflicts_resolved=session.conflicts_resolved,
+        approvals_retracted=session.approvals_retracted,
+        deltas_applied=session.deltas_applied,
+        journal_seq=None if session.journal is None else session.journal.seq,
+    )
+    document["trace"]["initial_uncertainty"] = session.trace.initial_uncertainty
+    return document
+
+
+def session_from_dict(document: dict) -> SessionCore:
     """Rebuild a live session from a checkpoint document."""
     _check_version(document, CHECKPOINT_KIND)
     kind = document.get("session")
-    if kind == "crowd":
-        return _crowd_session_from_dict(document)
-    if kind == "expert":
-        return _expert_session_from_dict(document)
-    raise FormatError(f"unknown session kind {kind!r}")
+    if kind not in _CODECS:
+        raise FormatError(f"unknown session kind {kind!r}")
+    network = network_from_dict(document["network"])
+    pnet = _pnet_from_dict(document["pnet"], network)
+    session = _CODECS[kind][1](document, pnet)
+    session.conflicts_resolved = document["conflicts_resolved"]
+    session.approvals_retracted = document["approvals_retracted"]
+    # Version-1 checkpoints predate network deltas.
+    session.deltas_applied = document.get("deltas_applied", 0)
+    session.trace.initial_uncertainty = document["trace"]["initial_uncertainty"]
+    return session
 
 
 def save_checkpoint(
-    session: "CrowdSession | ReconciliationSession",
+    session: SessionCore,
     path: "str | pathlib.Path",
 ) -> pathlib.Path:
     """Atomically write a session checkpoint (temp file + ``os.replace``).
@@ -717,7 +686,7 @@ def save_checkpoint(
 def restore_session(
     source: "str | pathlib.Path | dict",
     journal=None,
-) -> "CrowdSession | ReconciliationSession":
+) -> SessionCore:
     """Rebuild a live session from a checkpoint file (or parsed document).
 
     ``journal`` optionally re-attaches a

@@ -32,8 +32,8 @@ import pathlib
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.reconciliation import ReconciliationSession, ReconciliationTrace
-from ..crowd.session import CrowdSession, CrowdTrace
+from ..core.reconciliation import ReconciliationTrace, SessionCore
+from ..crowd.session import CrowdTrace
 from .checkpoint import restore_session, save_checkpoint
 from .journal import (
     FeedbackJournal,
@@ -69,7 +69,7 @@ def _paths(directory: "str | pathlib.Path") -> tuple[pathlib.Path, pathlib.Path]
 
 
 def run_durable(
-    session: "CrowdSession | ReconciliationSession",
+    session: SessionCore,
     directory: "str | pathlib.Path",
     *,
     checkpoint_every: int = 1,
@@ -84,8 +84,9 @@ def run_durable(
     ``checkpoint_every`` counts transactions — rounds for a crowd session,
     steps for an expert one; ``0`` disables periodic checkpoints (the
     initial and final ones are always written).  Goal parameters mirror the
-    sessions' own ``run``: ``rounds``/``questions``/``uncertainty_goal``
-    for crowds, ``budget``/``effort_budget``/``uncertainty_goal`` for the
+    sessions' own ``run``, whose goal loop this drives:
+    ``rounds``/``questions``/``uncertainty_goal`` for crowds,
+    ``budget``/``effort_budget``/``uncertainty_goal`` for the
     single-expert loop.
 
     A :class:`~repro.durability.faults.SimulatedCrash` (or a real one)
@@ -97,58 +98,24 @@ def run_durable(
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     checkpoint_path, journal_path = _paths(directory)
-    is_crowd = isinstance(session, CrowdSession)
     if session.journal is None:
-        session.journal = FeedbackJournal.create(
-            journal_path, "crowd" if is_crowd else "expert"
-        )
+        session.journal = FeedbackJournal.create(journal_path, session.kind)
     save_checkpoint(session, checkpoint_path)
-    if is_crowd:
-        trace = session.trace
-        current = trace.final_uncertainty
-        while True:
-            if rounds is not None and len(trace.rounds) >= rounds:
-                break
-            if uncertainty_goal is not None and current <= uncertainty_goal:
-                break
-            remaining = (
-                questions - trace.questions_asked
-                if questions is not None
-                else None
-            )
-            record = session.round(max_questions=remaining)
-            if record is None or not record.questions:
-                break
-            current = record.uncertainty
-            if checkpoint_every and len(trace.rounds) % checkpoint_every == 0:
-                save_checkpoint(session, checkpoint_path)
+    if session.kind == "crowd":
+        records = session._until_goal(rounds, questions, uncertainty_goal)
     else:
-        trace = session.trace
-        total = len(session.pnet.correspondences)
-        current = trace.uncertainties[-1]
-        while True:
-            if budget is not None and len(trace.steps) >= budget:
-                break
-            if (
-                effort_budget is not None
-                and (len(trace.steps) + 1) / total > effort_budget + 1e-12
-            ):
-                break
-            if uncertainty_goal is not None and current <= uncertainty_goal:
-                break
-            record = session.step()
-            if record is None:
-                break
-            current = record.uncertainty
-            if checkpoint_every and len(trace.steps) % checkpoint_every == 0:
-                save_checkpoint(session, checkpoint_path)
+        records = session._until_goal(budget, effort_budget, uncertainty_goal)
+    for record in records:
+        # A record's index is the session's transaction count.
+        if checkpoint_every and record.index % checkpoint_every == 0:
+            save_checkpoint(session, checkpoint_path)
     save_checkpoint(session, checkpoint_path)
-    return trace
+    return session.trace
 
 
 def recover(
     directory: "str | pathlib.Path",
-) -> tuple["CrowdSession | ReconciliationSession", RecoveryReport]:
+) -> tuple[SessionCore, RecoveryReport]:
     """Restore a crashed durable session to exactly where it would have been.
 
     Returns the live session (journal re-attached, ready for more rounds or
@@ -168,7 +135,7 @@ def recover(
     journal = FeedbackJournal.resume(journal_path, next_seq=last_seq + 1)
     journal.expect(pending)
     session = restore_session(document, journal=journal)
-    is_crowd = isinstance(session, CrowdSession)
+    is_crowd = session.kind == "crowd"
     transactions_redone = 0
     last_delta: Optional[dict] = None
     for record in pending:

@@ -34,40 +34,12 @@ from ..crowd import (
     make_aggregator,
     make_assignment,
 )
-from ..core.selection import (
-    ConfidenceSelection,
-    EntropySelection,
-    InformationGainSelection,
-    LikelihoodSelection,
-    RandomSelection,
-    SelectionStrategy,
-)
+# The strategy registry lives beside the strategies; scenarios re-export it.
+from ..core.selection import STRATEGIES, make_strategy  # noqa: F401
 from ..metrics import precision, recall
 from .harness import NetworkFixture
 
 T = TypeVar("T")
-
-#: Registered strategy factories, keyed by the names scenarios use.
-STRATEGIES: dict[str, Callable[..., SelectionStrategy]] = {
-    "random": RandomSelection,
-    "information-gain": InformationGainSelection,
-    "entropy": EntropySelection,
-    "likelihood": LikelihoodSelection,
-    "confidence": ConfidenceSelection,
-}
-
-
-def make_strategy(
-    name: str, rng: Optional[random.Random] = None
-) -> SelectionStrategy:
-    """Instantiate a registered selection strategy by name."""
-    try:
-        factory = STRATEGIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown strategy {name!r}; available: {sorted(STRATEGIES)}"
-        ) from None
-    return factory(rng=rng)
 
 
 @dataclass(frozen=True)

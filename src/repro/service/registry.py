@@ -66,13 +66,13 @@ class SessionRegistry:
     ) -> Tenant:
         """Admit a session under ``name``; names are unique while live.
 
-        The kind is inferred from the session surface (crowd sessions
-        run *rounds*, expert sessions run *steps*) — re-registering a
+        The tenant takes the session's ``kind`` (``"crowd"`` sessions run
+        *rounds*, ``"expert"`` sessions run *steps*) — re-registering a
         recovered session after a crash uses the same entry point.
         """
         if weight < 1:
             raise ValueError("tenant weight must be positive")
-        kind = "crowd" if hasattr(session, "round") else "expert"
+        kind = session.kind
         directory = (
             pathlib.Path(checkpoint_dir) if checkpoint_dir is not None else None
         )

@@ -231,7 +231,7 @@ class ReconciliationService:
                 "kind": "crowd",
                 "rounds": len(trace.rounds),
                 "questions": trace.questions_asked,
-                "uncertainty": trace.final_uncertainty,
+                "uncertainty": session.uncertainty(),
                 "deltas_applied": session.deltas_applied,
             }
         trace = session.trace

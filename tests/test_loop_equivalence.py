@@ -265,6 +265,61 @@ class TestEstimatorEquivalence:
             pnet_exact.record_assertion(corr, verdict)
             check()
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "an exhausted walk store conditions on a disapproval without "
+            "adding the instances J minus c that become maximal, and does "
+            "not refill because it is marked exhausted"
+        ),
+    )
+    def test_exhausted_store_covers_omega_after_disapproval(self):
+        """A pinned draw of the property above on which coverage breaks.
+
+        The store holds all 28 instances and is exhausted (saturated below
+        ``min_samples``).  Disapproving S1.a2–S2.a1 leaves |Ω(F)| = 24, but
+        the conditioned store keeps 23 and stays exhausted, so it never
+        walks again to find the missing one.
+        """
+        schemas = [
+            Schema.from_names("S0", ["a0", "a1"]),
+            Schema.from_names("S1", ["a0", "a1", "a2"]),
+            Schema.from_names("S2", ["a0", "a1"]),
+        ]
+        attribute = {
+            (schema.name, attr.name): attr
+            for schema in schemas
+            for attr in schema
+        }
+        pairs = [
+            ("S0", "a0", "S1", "a0"), ("S0", "a0", "S1", "a1"),
+            ("S0", "a0", "S1", "a2"), ("S0", "a0", "S2", "a0"),
+            ("S0", "a0", "S2", "a1"), ("S0", "a1", "S1", "a0"),
+            ("S0", "a1", "S1", "a1"), ("S0", "a1", "S1", "a2"),
+            ("S0", "a1", "S2", "a0"), ("S0", "a1", "S2", "a1"),
+            ("S1", "a1", "S2", "a0"), ("S1", "a1", "S2", "a1"),
+            ("S1", "a2", "S2", "a0"), ("S1", "a2", "S2", "a1"),
+        ]
+        network = MatchingNetwork(
+            schemas,
+            sorted(
+                correspondence(attribute[a, x], attribute[b, y])
+                for a, x, b, y in pairs
+            ),
+        )
+        assert network.violation_count() == 49
+        sampled = SampledEstimator(
+            network, target_samples=96, walk_steps=4, rng=random.Random(14196)
+        )
+        assert set(sampled.samples) == set(enumerate_instances(network))
+        assert len(set(sampled.samples)) == 28 and sampled.store.exhausted
+        sampled.record_assertion(
+            correspondence(attribute["S1", "a2"], attribute["S2", "a1"]), False
+        )
+        current = set(enumerate_instances(network, sampled.feedback))
+        assert len(current) == 24
+        assert set(sampled.samples) == current
+
 
 # ---------------------------------------------------------------------------
 # Vector-vs-mapping view parity

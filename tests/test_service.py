@@ -303,6 +303,7 @@ class TestRequestScheduler:
 # Registry
 # ----------------------------------------------------------------------
 class _StubCrowd:
+    kind = "crowd"
     journal = None
 
     def round(self, max_questions=None):  # pragma: no cover - shape only
@@ -310,6 +311,7 @@ class _StubCrowd:
 
 
 class _StubExpert:
+    kind = "expert"
     journal = None
 
     def step(self):  # pragma: no cover - shape only

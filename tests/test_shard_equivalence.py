@@ -10,7 +10,9 @@ suite pins that claim from three directions:
 * full-session traces (selections, verdicts, uncertainties, probability
   vectors, final F±) of a :class:`ShardedEstimator`-backed session are
   bit-identical to the unsharded :class:`SampledEstimator` session across
-  random / information-gain / likelihood strategies × seeds 0–4;
+  random / information-gain / likelihood strategies × seeds 0–4, and so
+  are crowd round traces (questions, votes, verdicts, uncertainties)
+  across information-gain / likelihood / entropy criteria × seeds 0–4;
 * hypothesis property tests equate shard-merged probability vectors with
   whole-network estimates on randomly generated enumerable networks,
   before and after random feedback;
@@ -28,6 +30,7 @@ the unsharded side instead of assuming it.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +41,11 @@ from repro.core import enumerate_instances
 from repro.core.probability import ProbabilisticNetwork, SampledEstimator
 from repro.core.reconciliation import ReconciliationSession
 from repro.experiments.harness import synthetic_fixture, synthetic_network
-from repro.experiments.scenarios import ScenarioSpec, build_session
+from repro.experiments.scenarios import (
+    ScenarioSpec,
+    build_crowd_session,
+    build_session,
+)
 from repro.shard import (
     MAX_PRODUCT_ROWS,
     ShardedEstimator,
@@ -172,6 +179,89 @@ class TestTraceEquivalence:
         assert a.shape == b.shape
         assert np.array_equal(a.sum(axis=0), b.sum(axis=0))
         assert np.array_equal(a.T @ a, b.T @ b)
+
+
+#: The question-selection criteria a crowd accepts.
+CRITERIA = ("information-gain", "likelihood", "entropy")
+
+
+def _crowd_trace(session, rounds=8):
+    """Drive a crowd session round by round, recording the claim's scope."""
+    trace = []
+    for _ in range(rounds):
+        record = session.round()
+        if record is None:
+            break
+        trace.append(
+            (
+                record.questions,
+                record.votes,
+                record.verdicts,
+                record.uncertainty,
+                session.pnet.probability_vector().tobytes(),
+            )
+        )
+    return trace
+
+
+class TestCrowdTraceEquivalence:
+    """The crowd column: a crowd ranks the same strategy scores as an
+    expert, so sharded and unsharded complete stores give the same rounds.
+
+    Information gain reads the sharded estimator's product membership
+    matrix, exactly as expert selection does.  Past ``MAX_PRODUCT_ROWS``
+    that matrix is refused, and crowd information gain raises the same
+    ``ValueError`` as expert information gain until gains are computed
+    per shard.
+    """
+
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sharded_crowd_trace_bit_identical(
+        self, fixture, omega_masks, criterion, seed
+    ):
+        spec = ScenarioSpec(
+            strategy=criterion,
+            oracle="crowd",
+            seed=seed,
+            target_samples=TARGET_SAMPLES,
+            on_conflict="disapprove",
+            crowd_workers=6,
+            crowd_k=3,
+        )
+        plain = build_crowd_session(fixture, spec)
+        sharded = build_crowd_session(fixture, replace(spec, sharded=True))
+        assert set(plain.pnet.estimator.store.sample_masks) == omega_masks
+        assert isinstance(sharded.pnet.estimator, ShardedEstimator)
+
+        plain_trace = _crowd_trace(plain)
+        assert len(plain_trace) >= 2
+        assert plain_trace == _crowd_trace(sharded)
+        assert plain.pnet.feedback.approved == sharded.pnet.feedback.approved
+        assert (
+            plain.pnet.feedback.disapproved
+            == sharded.pnet.feedback.disapproved
+        )
+
+    def test_product_guard_refuses_crowd_and_expert_alike(
+        self, fixture, monkeypatch
+    ):
+        import repro.shard.store as shard_store
+
+        monkeypatch.setattr(shard_store, "MAX_PRODUCT_ROWS", 8)
+        spec = ScenarioSpec(
+            strategy="information-gain",
+            oracle="crowd",
+            target_samples=64,
+            sharded=True,
+        )
+        crowd = build_crowd_session(fixture, spec)
+        with pytest.raises(ValueError, match="likelihood") as crowd_error:
+            crowd.select_questions()
+        expert = build_session(fixture, replace(spec, oracle="perfect"))
+        with pytest.raises(ValueError) as expert_error:
+            expert.step()
+        assert str(crowd_error.value) == str(expert_error.value)
 
 
 class TestShardPlan:
