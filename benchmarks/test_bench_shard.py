@@ -14,10 +14,11 @@ Two acceptance bars from the sharding tentpole:
   envelope as today's unsharded reference session (measured ~2× the
   reference run for 10× the elicitations; gated at 3× for CI headroom).
 
-Differential exactness (bit-identical traces, merged vectors, product
-matrices) is enforced separately in ``tests/test_shard_equivalence.py`` —
-these benches only re-assert the cheap structural invariants so the
-configuration being timed is also being verified.
+Differential exactness (bit-identical traces, merged vectors, factorised
+information gains) is enforced separately in
+``tests/test_shard_equivalence.py`` — these benches only re-assert the
+cheap structural invariants so the configuration being timed is also
+being verified.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ import time
 
 import pytest
 
+from repro.core.probability import ProbabilisticNetwork
 from repro.core.sampling import SampleStore
+from repro.core.selection import InformationGainSelection
 from repro.experiments import ScenarioSpec, build_session, synthetic_fixture
-from repro.shard import ShardedSampleStore, shard_plan
+from repro.shard import ShardedEstimator, ShardedSampleStore, shard_plan
 from test_bench_reconciliation import (
     REFERENCE_KWARGS,
     REFERENCE_SAMPLES,
@@ -89,6 +92,22 @@ def test_bench_shard_refill_small(benchmark):
     for indices in plan.shards:
         covered.update(indices)
     assert covered == set(range(fixture.network.engine.n))
+
+
+def test_bench_information_gain_sharded_reference(benchmark):
+    """One information-gain ``scores`` call on the sharded reference
+    network: 124 shard factors, whose ∏|Ω_s| ≈ 10⁴⁸ instances no product
+    membership matrix could hold."""
+    fixture = reference_fixture()
+    estimator = ShardedEstimator(
+        fixture.network,
+        target_samples=REFERENCE_SAMPLES,
+        rng=random.Random(3),
+    )
+    pnet = ProbabilisticNetwork(fixture.network, estimator=estimator)
+    columns, gains = benchmark(InformationGainSelection().scores, pnet)
+    assert estimator.n_shards == 124
+    assert len(columns) and gains.max() > 0.0
 
 
 @pytest.mark.slow

@@ -19,11 +19,17 @@ else
     python scripts/import_hygiene.py
 fi
 python -m pytest -q
-# Shard parity smoke: one differential seed per strategy must reproduce
-# the unsharded session trace bit-for-bit (the full 15-combination matrix
-# runs in the plain pass above; this re-runs the three seed-0 traces
-# standalone so a sharding regression is named in the CI log).
-python -m pytest -q "tests/test_shard_equivalence.py::TestTraceEquivalence::test_sharded_trace_bit_identical" -k "0-"
+# Shard parity smoke: one differential seed per expert strategy and per
+# crowd criterion must reproduce the unsharded trace bit-for-bit, and
+# expert and crowd information gain must run on the 124-shard reference
+# network (the full matrices run in the plain pass above; this re-runs the
+# six seed-0 traces and the reference-scale test standalone so a sharding
+# or gain-factorisation regression is named in the CI log).
+python -m pytest -q \
+    "tests/test_shard_equivalence.py::TestTraceEquivalence::test_sharded_trace_bit_identical" \
+    "tests/test_shard_equivalence.py::TestCrowdTraceEquivalence::test_sharded_crowd_trace_bit_identical" \
+    "tests/test_shard_equivalence.py::TestReferenceScaleInformationGain" \
+    -k "0- or ReferenceScale"
 # Durability: crash at every round boundary of a seeded crowd run, recover
 # from checkpoint + journal, require a bit-identical final trace.
 python scripts/chaos_smoke.py

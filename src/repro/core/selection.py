@@ -19,7 +19,7 @@ over the very same scores, so a scoring change lands in one place for
 both loops.
 
 The strategies consume the network's array views — the folded probability
-vector and the sample store's membership matrix — directly; Correspondence
+vector and the sample stores' membership matrices — directly; Correspondence
 objects are materialised only for the single returned selection.  Tie-breaks
 and rng consumption are unchanged from the mapping-based implementations, so
 seeded sessions select identically.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .correspondence import Correspondence
 from .probability import ProbabilisticNetwork
-from .uncertainty import binary_entropy_cached, information_gain_array
+from .uncertainty import binary_entropy_cached, information_gain_factors
 
 
 def _random_unasserted(
@@ -118,6 +118,32 @@ class RandomSelection(SelectionStrategy):
         return _random_unasserted(pnet, self.rng)
 
 
+def _sample_factors(
+    estimator, width: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The independent factors of a sampling estimator's instance space.
+
+    A sharded estimator's factors are its shards (its violation-free
+    candidates are certain); an unsharded store is one factor over all
+    ``width`` columns.  Each factor pairs its global columns with its
+    cached float64 membership matrix.
+    """
+    components = getattr(estimator, "components", None)
+    if components is not None:
+        return [
+            (np.asarray(indices, dtype=np.intp), store.matrix_float())
+            for indices, store in components()
+        ]
+    membership_matrix = getattr(estimator, "membership_matrix", None)
+    if membership_matrix is None:
+        raise TypeError(
+            "information-gain selection needs a sampling estimator "
+            "(SampledEstimator or ShardedEstimator); use "
+            "EntropySelection with exact estimators instead"
+        )
+    return [(np.arange(width), membership_matrix())]
+
+
 class InformationGainSelection(SelectionStrategy):
     """The paper's heuristic: argmax_c IG(c), ties broken at random.
 
@@ -145,16 +171,8 @@ class InformationGainSelection(SelectionStrategy):
         columns = pnet.uncertain_indices()
         if len(columns) == 0:
             return columns, np.empty(0)
-        membership_matrix = getattr(
-            pnet.estimator, "membership_matrix", None
-        )
-        if membership_matrix is None:
-            raise TypeError(
-                "information-gain selection needs a sampling estimator "
-                "exposing membership_matrix (SampledEstimator or "
-                "ShardedEstimator); use EntropySelection with exact "
-                "estimators instead"
-            )
+        width = len(pnet.correspondences)
+        factors = _sample_factors(pnet.estimator, width)
         if self.max_candidates is not None and len(columns) > self.max_candidates:
             # Two-stage filter: keep the highest-marginal-entropy targets.
             # ``sorted`` is stable, so ties keep ascending-index order —
@@ -164,10 +182,10 @@ class InformationGainSelection(SelectionStrategy):
                 range(len(columns)), key=entropies.__getitem__, reverse=True
             )[: self.max_candidates]
             columns = columns[order]
-        # One batched gain reduction over the store's cached float matrix —
-        # the same array core information_gains funnels through, so the
-        # floats (and tie sets) match the mapping API bit-for-bit.
-        return columns, information_gain_array(membership_matrix(), columns)
+        # One batched gain reduction over the stores' cached float matrices
+        # — the same core information_gains funnels through, so the floats
+        # (and tie sets) match the mapping API bit-for-bit.
+        return columns, information_gain_factors(factors, width, columns)
 
     select = SelectionStrategy.select
 

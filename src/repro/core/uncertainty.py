@@ -5,7 +5,9 @@ inclusion indicators (Equation 3, log base 2 — the base Example 1 implies).
 Information gain (Equations 4–5) is the expected entropy drop from asserting
 one correspondence; we estimate the conditional entropies from the sample
 multiset by partitioning it on membership of the assessed correspondence,
-which costs no additional sampling.
+which costs no additional sampling.  On a space that factorises into
+independent components, asserting a correspondence partitions only its own
+component's samples, so the gains are reduced factor by factor.
 """
 
 from __future__ import annotations
@@ -170,23 +172,94 @@ def _entropy_table(denominator: int) -> np.ndarray:
     return table
 
 
-def _entropy_rows_from_counts(
-    counts: np.ndarray, denominators: np.ndarray
+def information_gain_factors(
+    factors: Sequence[tuple[np.ndarray, np.ndarray]],
+    width: int,
+    columns: np.ndarray,
 ) -> np.ndarray:
-    """Row-wise Σ H_b(count/denominator) via the per-denominator tables.
+    """Batched IG for the target ``columns`` of a factorised instance space.
 
-    ``counts`` is an integer matrix (one row per target partition),
-    ``denominators`` the per-row partition size; rows with a zero
-    denominator yield 0 (their partition is empty, hence entropy-free).
+    The space is Ω = ∏ Ω_f × {columns in no factor}.  Each factor is a
+    pair: its ascending global columns and its sample-membership matrix
+    (rows = the factor's samples, columns aligned to those globals).  A
+    column in no factor is certain, and ``width`` is the size of the
+    global index.  An unsharded store is one factor holding every column.
+
+    Asserting a target conditions its own factor only, so its partition
+    counts come from one co-occurrence product ``Mᵀ[targets] @ M`` over
+    that factor: row *t* holds, for each of the factor's columns, the
+    number of samples containing both *t* and the column — the positive
+    partition (the negative one is its complement against the factor's
+    counts).  Every other factor's live columns keep their unconditioned
+    entropies.  Each H⁺ and H⁻ row is summed whole over all live columns
+    in ascending order, and every frequency is the same rational
+    ``k/d`` as in the ∏|Ω_f|-row product matrix, so the gains are the
+    floats that matrix would give without ever building it.
     """
-    out = np.zeros(counts.shape[0], dtype=np.float64)
-    for denominator in np.unique(denominators).tolist():
-        if denominator <= 0:
-            continue
-        rows = np.flatnonzero(denominators == denominator)
-        table = _entropy_table(int(denominator))
-        out[rows] = table[counts[rows]].sum(axis=1)
-    return out
+    columns = np.asarray(columns, dtype=np.intp)
+    gains = np.zeros(len(columns), dtype=np.float64)
+    if not len(columns):
+        return gains
+    # Only *live* columns — neither absent from nor present in every sample
+    # of their factor — carry entropy (H_b is 0 at counts 0 and |Ω*_f|, on
+    # both sides of any partition), so the row sums run on them alone.
+    entropy = np.zeros(width, dtype=np.float64)
+    is_live = np.zeros(width, dtype=bool)
+    owner = np.zeros(width, dtype=np.intp)
+    local = np.zeros(width, dtype=np.intp)
+    summaries = []
+    for index, (factor_columns, matrix) in enumerate(factors):
+        dense = np.asarray(matrix, dtype=np.float64)  # no copy when f64
+        total = int(dense.shape[0])
+        if total == 0:
+            return gains  # one empty factor empties the whole space
+        counts = dense.sum(axis=0).astype(np.int64)
+        live = np.flatnonzero((counts > 0) & (counts < total))
+        entropy[factor_columns[live]] = _entropy_table(total)[counts[live]]
+        is_live[factor_columns[live]] = True
+        owner[factor_columns] = index
+        local[factor_columns] = np.arange(len(factor_columns))
+        summaries.append((factor_columns, dense, total, counts, live))
+    current_uncertainty = float(entropy.sum())
+    live_columns = np.flatnonzero(is_live)
+    baseline = entropy[live_columns]
+
+    # A target is informative (both partitions non-empty) iff it is live.
+    targets = np.flatnonzero(is_live[columns])
+    target_owner = owner[columns[targets]]
+    for index in np.unique(target_owner).tolist():
+        factor_columns, dense, total, counts, live = summaries[index]
+        mine = targets[target_owner == index]
+        local_targets = local[columns[mine]]
+        n_with = counts[local_targets]
+        cooccurrence = (
+            dense[:, local_targets].T @ dense[:, live]
+        ).astype(np.int64)
+        # Where the factor's live columns sit among all live columns; a
+        # factor holding every live column (one factor) sums its own
+        # conditioned entropies directly, any other fills the rest of each
+        # row with the other factors' unconditioned entropies.
+        slots = np.searchsorted(live_columns, factor_columns[live])
+        sides = (
+            (cooccurrence, n_with),
+            (counts[live][None, :] - cooccurrence, total - n_with),
+        )
+        entropies = []
+        for hits, sizes in sides:
+            side = np.empty(len(mine), dtype=np.float64)
+            for size in np.unique(sizes).tolist():
+                group = np.flatnonzero(sizes == size)
+                block = _entropy_table(size)[hits[group]]
+                if len(slots) < len(live_columns):
+                    whole = np.tile(baseline, (len(group), 1))
+                    whole[:, slots] = block
+                    block = whole
+                side[group] = block.sum(axis=1)
+            entropies.append(side)
+        p = n_with / total
+        conditional = p * entropies[0] + (1.0 - p) * entropies[1]
+        gains[mine] = np.maximum(0.0, current_uncertainty - conditional)
+    return gains
 
 
 def information_gain_array(
@@ -195,43 +268,14 @@ def information_gain_array(
 ) -> np.ndarray:
     """Batched IG for the target ``columns`` of a sample-membership matrix.
 
-    This is the array core behind :func:`information_gains` and the
-    information-gain selection strategy; both funnel through it so the gain
-    floats (and hence argmax tie-breaks) are bit-for-bit identical no matter
-    which API computed them.  All per-target partition counts come from one
-    co-occurrence product ``Mᵀ[targets] @ M``: row *t* holds, for every
-    candidate, the number of samples containing both *t* and the candidate —
-    exactly the positive-partition count vector (the negative partition is
-    its complement against the global counts).
+    The one-factor case of :func:`information_gain_factors`, and the array
+    core behind :func:`information_gains`; the selection strategy reads
+    the same reduction, so the gain floats (and hence argmax tie-breaks)
+    are bit-for-bit identical no matter which API computed them.
     """
-    total = int(matrix.shape[0])
-    if total == 0 or len(columns) == 0:
-        return np.zeros(len(columns), dtype=np.float64)
-    dense = np.asarray(matrix, dtype=np.float64)  # no copy when already f64
-    counts = dense.sum(axis=0)
-    counts_int = counts.astype(np.int64)
-    current_uncertainty = float(_entropy_table(total)[counts_int].sum())
-
-    # Only *live* columns — neither absent from nor present in every sample —
-    # can contribute entropy to either partition (a global count of 0 or
-    # |Ω*| stays 0 or partition-size on both sides, and H_b is then 0), so
-    # the co-occurrence product and the entropy gathers run on them alone.
-    live = np.flatnonzero((counts_int > 0) & (counts_int < total))
-    n_with = counts_int[columns]
-    n_without = total - n_with
-    informative = (n_with > 0) & (n_without > 0)
-    if not len(live) or not informative.any():
-        return np.zeros(len(columns), dtype=np.float64)
-
-    cooccurrence = (dense[:, columns].T @ dense[:, live]).astype(np.int64)
-    entropy_plus = _entropy_rows_from_counts(cooccurrence, n_with)
-    entropy_minus = _entropy_rows_from_counts(
-        counts_int[live][None, :] - cooccurrence, n_without
-    )
-    p = counts[columns] / total
-    conditional = p * entropy_plus + (1.0 - p) * entropy_minus
-    return np.where(
-        informative, np.maximum(0.0, current_uncertainty - conditional), 0.0
+    width = int(matrix.shape[1])
+    return information_gain_factors(
+        [(np.arange(width), matrix)], width, columns
     )
 
 

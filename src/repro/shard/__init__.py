@@ -27,14 +27,12 @@ from .components import (
 )
 from .estimator import ShardedEstimator
 from .store import (
-    MAX_PRODUCT_ROWS,
     EnumeratingSampleStore,
     Shard,
     ShardedSampleStore,
 )
 
 __all__ = [
-    "MAX_PRODUCT_ROWS",
     "EnumeratingSampleStore",
     "Shard",
     "ShardPlan",

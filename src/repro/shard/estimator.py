@@ -3,13 +3,14 @@
 :class:`ShardedEstimator` is the drop-in counterpart of
 :class:`~repro.core.probability.SampledEstimator` backed by a
 :class:`~repro.shard.store.ShardedSampleStore`: same estimator surface
-(``probabilities``, ``probability_vector``, ``membership_matrix``,
-``record_assertion``, ``retract_approval``, ``version``, ``feedback``),
-so :class:`~repro.core.probability.ProbabilisticNetwork` and every
-selection strategy run over it unchanged.  The differential suite
-(``tests/test_shard_equivalence.py``) pins the claim that matters: a
-sharded session's trace is *bit-identical* to the unsharded one when
-both hold complete instance sets.
+(``probabilities``, ``probability_vector``, ``record_assertion``,
+``retract_approval``, ``version``, ``feedback``), so
+:class:`~repro.core.probability.ProbabilisticNetwork` and every selection
+strategy run over it unchanged; information gain and the deliverable read
+its :meth:`~ShardedEstimator.components` instead of one whole-network
+sample set.  The differential suite (``tests/test_shard_equivalence.py``)
+pins the claim that matters: a sharded session's trace is *bit-identical*
+to the unsharded one when both hold complete instance sets.
 """
 
 from __future__ import annotations
@@ -75,22 +76,15 @@ class ShardedEstimator(ProbabilityEstimator):
     def n_shards(self) -> int:
         return len(self.store.shards)
 
-    def membership_matrix(self) -> np.ndarray:
-        """The product membership matrix (float64, globally indexed).
-
-        Bounded by ``MAX_PRODUCT_ROWS`` — information-gain selection on a
-        sharded estimator is an enumerable-network tool; large sharded
-        sessions should select on the merged probability vector instead.
-        """
-        return self.store.matrix_float()
-
     def components(self) -> list[tuple[tuple[int, ...], SampleStore]]:
         """The factors Ω_s of Ω = ∏ Ω_s × {violation-free candidates}.
 
         One pair per shard, in shard order: its ascending engine indices
         and its shard-local sample store.  The violation-free candidates
         belong to no shard.  The deliverable solves Problem 2 one factor
-        at a time over these (``core.instantiation.instantiate``).
+        at a time over these (``core.instantiation.instantiate``), and
+        information gain conditions only the asserted candidate's factor
+        (``InformationGainSelection.scores``).
         """
         return [(shard.indices, shard.store) for shard in self.store.shards]
 

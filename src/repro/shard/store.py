@@ -4,10 +4,10 @@
 violation-graph component (:mod:`repro.shard.components`) into
 shard-local ``ConstraintEngine`` + ``SampleStore`` pairs, each with an
 independent RNG stream derived from one master stream, and merges the
-per-shard probability vectors (and, for information gain, the product
-membership matrix) at the boundary.  Because disjoint components share
-no constraints, the instance space factorises — Ω = ∏ Ω_s × {free
-candidates} — so the merged estimates are *exact*, not approximations:
+per-shard probability vectors at the boundary.  Because disjoint
+components share no constraints, the instance space factorises —
+Ω = ∏ Ω_s × {free candidates} — so the merged estimates are *exact*,
+not approximations:
 
 * a candidate's global sample frequency ``count/|Ω|`` equals its
   shard-local ``count_s/|Ω_s|`` (both numerator and denominator scale by
@@ -15,9 +15,10 @@ candidates} — so the merged estimates are *exact*, not approximations:
   integers rounds the same rational to the same double), so the merged
   probability vector is bit-identical to a whole-network estimate over
   the complete instance set;
-* the product membership matrix has ∏|Ω_s| rows whose column counts and
-  co-occurrence counts equal the whole-network matrix's, and the
-  information-gain reduction is count-based, so gains match bit-for-bit.
+* information gain reads the shards as independent factors
+  (:func:`~repro.core.uncertainty.information_gain_factors`): every
+  frequency it forms is that same rational, so gains match the
+  whole-network estimate bit-for-bit.
 
 Small shards (at most ``enumerate_limit`` instances) are filled by exact
 enumeration (:class:`EnumeratingSampleStore`) instead of random walks —
@@ -42,13 +43,6 @@ from ..core.sampling import InstanceSampler, SampleStore
 from .components import ShardPlan, shard_plan, shard_plan_delta
 
 __all__ = ["EnumeratingSampleStore", "Shard", "ShardedSampleStore"]
-
-#: Product-matrix row guard: materialising the global membership matrix
-#: multiplies the shard row counts, which explodes on large networks.
-#: Information-gain selection on a sharded estimator is therefore bounded
-#: to this many rows; beyond it, use a strategy that only needs the
-#: merged probability vector (likelihood/entropy/random).
-MAX_PRODUCT_ROWS = 1 << 18
 
 
 class EnumeratingSampleStore(SampleStore):
@@ -163,7 +157,7 @@ class ShardedSampleStore:
     """Ω* maintained shard-by-shard, merged exactly at the boundary.
 
     Mirrors the :class:`~repro.core.sampling.SampleStore` surface the
-    estimator layer consumes — ``probability_vector``, ``matrix_float``,
+    estimator layer consumes — ``probability_vector``,
     ``record_assertion``, ``retract_approval``, ``version``, state
     round-trip — but every operation dispatches to the single shard that
     owns the touched candidate (each violation lives wholly inside one
@@ -217,8 +211,6 @@ class ShardedSampleStore:
             for position, indices in enumerate(self.plan.shards)
         ]
         self._vector_cache: Optional[np.ndarray] = None
-        self._matrix_cache: Optional[np.ndarray] = None
-        self._matrix_float_cache: Optional[np.ndarray] = None
         if fill:
             self.refill()
 
@@ -454,8 +446,6 @@ class ShardedSampleStore:
     def _invalidate(self) -> None:
         self.version += 1
         self._vector_cache = None
-        self._matrix_cache = None
-        self._matrix_float_cache = None
 
     def _patch_vector(self, shard: Optional[Shard], corr: Correspondence,
                       free_value: float) -> None:
@@ -465,12 +455,9 @@ class ShardedSampleStore:
         leaving every other shard's store untouched, so the merged
         vector changes only on that shard's columns — a copy-and-scatter
         over the cached vector is bit-identical to a full rebuild at a
-        cost proportional to the shard, not the network.  The product
-        matrices stay fully invalidated (their rows change shape).
+        cost proportional to the shard, not the network.
         """
         self.version += 1
-        self._matrix_cache = None
-        self._matrix_float_cache = None
         if self._vector_cache is None:
             return
         vector = self._vector_cache.copy()
@@ -513,90 +500,10 @@ class ShardedSampleStore:
             self._vector_cache = vector
         return self._vector_cache
 
-    def _product_rows(self) -> int:
-        rows = 1
-        for shard in self.shards:
-            rows *= len(shard.store)
-        return rows
-
-    def matrix_float(self) -> np.ndarray:
-        """The *product* membership matrix, globally indexed (float64).
-
-        Row set = Ω (every combination of one instance per shard, free
-        candidates in all rows), materialised with mixed-radix
-        repeat/tile expansion — shard 0 outermost.  Column counts and
-        co-occurrence counts equal the whole-network matrix's, which is
-        all the (count-based) information-gain reduction reads, so gains
-        are bit-identical when both sides are complete.  Guarded at
-        ``MAX_PRODUCT_ROWS``: beyond that, information gain on a sharded
-        estimator is out of budget by construction — use a strategy that
-        needs only the merged probability vector.
-        """
-        if self._matrix_float_cache is None:
-            rows = self._product_rows()
-            if rows > MAX_PRODUCT_ROWS:
-                # Name the offending factors: the product is ∏|Ω_s| over
-                # the shards, so showing the largest per-shard row counts
-                # tells the user exactly which components blow the budget
-                # and whether retuning max_shards could help.
-                factors = sorted(
-                    ((len(shard.store), shard.position) for shard in self.shards),
-                    reverse=True,
-                )
-                shown = ", ".join(
-                    f"shard {position}: {count} rows"
-                    for count, position in factors[:6]
-                )
-                if len(factors) > 6:
-                    shown += f", … ({len(factors) - 6} more)"
-                raise ValueError(
-                    f"sharded membership matrix would need {rows} rows "
-                    f"(> {MAX_PRODUCT_ROWS}); the product factorises over "
-                    f"{len(self.shards)} shards, largest first: [{shown}]. "
-                    "Information-gain selection does not scale to this "
-                    "sharded network — use the likelihood, entropy, or "
-                    "random strategy instead, or tune max_shards "
-                    "deliberately (fewer, larger shards cap their row "
-                    "counts at the sampling target instead of enumerating "
-                    "exactly)"
-                )
-            matrix = np.zeros((rows, self.network.engine.n), dtype=np.float64)
-            if rows and len(self._free):
-                matrix[:, self._free] = 1.0
-                index_of = self.network.engine.index_of
-                for corr in self.feedback.disapproved:
-                    index = index_of.get(corr)
-                    if index is not None and self._owner.get(index) is None:
-                        matrix[:, index] = 0.0
-            outer = 1
-            for shard in self.shards:
-                count = len(shard.store)
-                inner = rows // (outer * count) if count else 0
-                block = shard.store.matrix_float()
-                matrix[:, shard.columns] = np.tile(
-                    np.repeat(block, inner, axis=0), (outer, 1)
-                )
-                outer *= count
-            matrix.setflags(write=False)
-            self._matrix_float_cache = matrix
-        return self._matrix_float_cache
-
-    def matrix(self) -> np.ndarray:
-        """Boolean view of :meth:`matrix_float` (same product rows)."""
-        if self._matrix_cache is None:
-            matrix = self.matrix_float() != 0.0
-            matrix.setflags(write=False)
-            self._matrix_cache = matrix
-        return self._matrix_cache
-
     @property
     def exhausted(self) -> bool:
         """True when every shard provably holds its whole instance space."""
         return all(shard.store.exhausted for shard in self.shards)
-
-    def __len__(self) -> int:
-        """Distinct global instances currently represented: ∏ shard sizes."""
-        return self._product_rows()
 
     # ------------------------------------------------------------------
     # State round-trip (the durability layer's hooks)

@@ -679,14 +679,16 @@ class TestShardedCheckpointRoundTrip:
     restored session continues bit-for-bit.
     """
 
-    def _sharded_spec(self, **overrides) -> ScenarioSpec:
-        # Likelihood selection: information gain needs the product
-        # membership matrix, which is out of budget by design on a
-        # sharded network of this size (see MAX_PRODUCT_ROWS).
-        return expert_spec(sharded=True, strategy="likelihood", **overrides)
+    def _sharded_spec(
+        self, strategy: str = "likelihood", **overrides
+    ) -> ScenarioSpec:
+        return expert_spec(sharded=True, strategy=strategy, **overrides)
 
-    def test_restored_sharded_session_continues_identically(self, tmp_path):
-        session = build_session(small_fixture(), self._sharded_spec())
+    @pytest.mark.parametrize("strategy", ["likelihood", "information-gain"])
+    def test_restored_sharded_session_continues_identically(
+        self, tmp_path, strategy
+    ):
+        session = build_session(small_fixture(), self._sharded_spec(strategy))
         session.run(budget=6)
         restored = restore_session(save_checkpoint(session, tmp_path / "c"))
         session.run(budget=25)

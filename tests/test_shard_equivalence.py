@@ -15,7 +15,8 @@ suite pins that claim from three directions:
   across information-gain / likelihood / entropy criteria × seeds 0–4;
 * hypothesis property tests equate shard-merged probability vectors with
   whole-network estimates on randomly generated enumerable networks,
-  before and after random feedback;
+  before and after random feedback, and factorised information gains
+  with the gains of the ∏|Ω_s|-row product membership matrix;
 * structural tests pin the decomposition itself (partition, violation
   closure, deterministic packing) and the process-pool fan-out's
   bit-identity with the sequential fallback.
@@ -29,6 +30,7 @@ the unsharded side instead of assuming it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
@@ -40,6 +42,8 @@ from hypothesis import strategies as st
 from repro.core import enumerate_instances
 from repro.core.probability import ProbabilisticNetwork, SampledEstimator
 from repro.core.reconciliation import ReconciliationSession
+from repro.core.selection import InformationGainSelection
+from repro.core.uncertainty import information_gain_array
 from repro.experiments.harness import synthetic_fixture, synthetic_network
 from repro.experiments.scenarios import (
     ScenarioSpec,
@@ -47,7 +51,6 @@ from repro.experiments.scenarios import (
     build_session,
 )
 from repro.shard import (
-    MAX_PRODUCT_ROWS,
     ShardedEstimator,
     ShardedSampleStore,
     shard_plan,
@@ -161,25 +164,6 @@ class TestTraceEquivalence:
                 plain.uncertain_indices(), sharded.uncertain_indices()
             )
 
-    def test_membership_matrix_counts_match(self, fixture):
-        """The product matrix's column and co-occurrence counts equal the
-        whole-network matrix's — everything the IG reduction reads."""
-        plain = SampledEstimator(
-            fixture.network,
-            target_samples=TARGET_SAMPLES,
-            rng=random.Random(0),
-        )
-        sharded = ShardedEstimator(
-            fixture.network,
-            target_samples=TARGET_SAMPLES,
-            rng=random.Random(0),
-        )
-        a = plain.membership_matrix()
-        b = sharded.membership_matrix()
-        assert a.shape == b.shape
-        assert np.array_equal(a.sum(axis=0), b.sum(axis=0))
-        assert np.array_equal(a.T @ a, b.T @ b)
-
 
 #: The question-selection criteria a crowd accepts.
 CRITERIA = ("information-gain", "likelihood", "entropy")
@@ -208,11 +192,9 @@ class TestCrowdTraceEquivalence:
     """The crowd column: a crowd ranks the same strategy scores as an
     expert, so sharded and unsharded complete stores give the same rounds.
 
-    Information gain reads the sharded estimator's product membership
-    matrix, exactly as expert selection does.  Past ``MAX_PRODUCT_ROWS``
-    that matrix is refused, and crowd information gain raises the same
-    ``ValueError`` as expert information gain until gains are computed
-    per shard.
+    Information gain reads the sharded estimator's per-shard factors,
+    exactly as expert selection does; ``TestReferenceScaleInformationGain``
+    runs both loops where no product membership matrix would fit.
     """
 
     @pytest.mark.parametrize("criterion", CRITERIA)
@@ -242,26 +224,6 @@ class TestCrowdTraceEquivalence:
             plain.pnet.feedback.disapproved
             == sharded.pnet.feedback.disapproved
         )
-
-    def test_product_guard_refuses_crowd_and_expert_alike(
-        self, fixture, monkeypatch
-    ):
-        import repro.shard.store as shard_store
-
-        monkeypatch.setattr(shard_store, "MAX_PRODUCT_ROWS", 8)
-        spec = ScenarioSpec(
-            strategy="information-gain",
-            oracle="crowd",
-            target_samples=64,
-            sharded=True,
-        )
-        crowd = build_crowd_session(fixture, spec)
-        with pytest.raises(ValueError, match="likelihood") as crowd_error:
-            crowd.select_questions()
-        expert = build_session(fixture, replace(spec, oracle="perfect"))
-        with pytest.raises(ValueError) as expert_error:
-            expert.step()
-        assert str(crowd_error.value) == str(expert_error.value)
 
 
 class TestShardPlan:
@@ -324,7 +286,8 @@ class TestShardedStoreMechanics:
             fixture.network, rng=random.Random(0), target_samples=64
         )
         assert store.exhausted
-        assert len(store) == 180  # ∏ shard sizes = |Ω|
+        sizes = [samples for _, samples in store.shard_sizes()]
+        assert math.prod(sizes) == 180  # ∏ shard sizes = |Ω|
 
     def test_enumeration_fallback_to_walk(self, fixture):
         """enumerate_limit below the shard's |Ω| falls back to sampling."""
@@ -341,17 +304,6 @@ class TestShardedStoreMechanics:
             assert set(walked.store.sample_masks) == set(
                 enumerated.store.sample_masks
             )
-
-    def test_product_matrix_guard(self, fixture, monkeypatch):
-        store = ShardedSampleStore(
-            fixture.network, rng=random.Random(0), target_samples=64
-        )
-        import repro.shard.store as shard_store
-
-        monkeypatch.setattr(shard_store, "MAX_PRODUCT_ROWS", 8)
-        with pytest.raises(ValueError, match="likelihood"):
-            store.matrix_float()
-        assert MAX_PRODUCT_ROWS > 8  # the real guard is untouched
 
     def test_free_candidates_probability(self, fixture):
         store = ShardedSampleStore(
@@ -475,6 +427,141 @@ class TestMergedVectorProperties:
                 sharded_pnet.probability_vector(),
             )
             assert plain_pnet.uncertainty() == sharded_pnet.uncertainty()
+
+
+def _product_matrix(store):
+    """The ∏|Ω_s|-row membership matrix of a sharded store (float64).
+
+    Row set = Ω (every combination of one sample per shard, free
+    candidates in all rows unless disapproved), expanded mixed-radix with
+    shard 0 outermost.  Its column and co-occurrence counts are the
+    whole-network matrix's, so information gain over it is the reference
+    the factorised reduction must reproduce.
+    """
+    rows = math.prod(len(shard.store) for shard in store.shards)
+    engine = store.network.engine
+    matrix = np.zeros((rows, engine.n), dtype=np.float64)
+    free = set(store.plan.free)
+    if rows and free:
+        matrix[:, sorted(free)] = 1.0
+        for corr in store.feedback.disapproved:
+            index = engine.index_of.get(corr)
+            if index in free:
+                matrix[:, index] = 0.0
+    outer = 1
+    for shard in store.shards:
+        count = len(shard.store)
+        inner = rows // (outer * count) if count else 0
+        block = shard.store.matrix_float()
+        matrix[:, shard.columns] = np.tile(
+            np.repeat(block, inner, axis=0), (outer, 1)
+        )
+        outer *= count
+    return matrix
+
+
+class TestFactorisedInformationGain:
+    @given(data=st.data())
+    @settings(
+        max_examples=25,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_gains_equal_product_matrix_gains(self, data):
+        """Scores over the shard factors are the product matrix's gains,
+        bit for bit, before and after random feedback — with and without
+        ``max_candidates`` reordering the targets."""
+        network = _network_strategy(data.draw)
+        estimator = ShardedEstimator(
+            network,
+            target_samples=512,
+            rng=random.Random(data.draw(st.integers(0, 3))),
+        )
+        store = estimator.store
+        assume(math.prod(len(shard.store) for shard in store.shards) <= 4096)
+        pnet = ProbabilisticNetwork(network, estimator=estimator)
+        strategy = InformationGainSelection(
+            max_candidates=data.draw(st.none() | st.integers(1, 6))
+        )
+        for _ in range(data.draw(st.integers(1, 5))):
+            columns, gains = strategy.scores(pnet)
+            if not len(columns):
+                break
+            expected = information_gain_array(_product_matrix(store), columns)
+            assert gains.tobytes() == expected.tobytes()
+            # Asserting an uncertain candidate is always consistent.
+            uncertain = pnet.uncertain_indices().tolist()
+            index = data.draw(st.sampled_from(uncertain))
+            pnet.record_assertion(
+                network.correspondences[index], data.draw(st.booleans())
+            )
+
+
+#: The reference synthetic network: 1500 candidates in 124 shards whose
+#: ∏|Ω_s| ≈ 10⁴⁸ instances no product membership matrix could hold.
+REFERENCE_KWARGS = dict(
+    n_correspondences=1500,
+    n_schemas=24,
+    attributes_per_schema=150,
+    conflict_bias=0.35,
+    seed=7,
+)
+
+
+def _per_shard_gains(store, columns):
+    """IG(c) = H_s − E[H_s | c] over c's own shard matrix alone.
+
+    Mathematically the whole-network gain (the other shards' entropies
+    cancel), but rounded differently — hence a tolerance, not tobytes.
+    """
+    gains = np.zeros(len(columns), dtype=np.float64)
+    for shard in store.shards:
+        local = {index: k for k, index in enumerate(shard.indices)}
+        positions = [
+            p for p, index in enumerate(columns.tolist()) if index in local
+        ]
+        if positions:
+            targets = np.asarray([local[int(columns[p])] for p in positions])
+            gains[positions] = information_gain_array(
+                shard.store.matrix_float(), targets
+            )
+    return gains
+
+
+class TestReferenceScaleInformationGain:
+    """Expert and crowd information gain run on the sharded reference
+    network, and their scores are the per-shard gains."""
+
+    def test_expert_steps_and_crowd_rounds(self):
+        fixture = synthetic_fixture(**REFERENCE_KWARGS)
+        spec = ScenarioSpec(
+            strategy="information-gain",
+            seed=0,
+            target_samples=250,
+            sharded=True,
+        )
+        expert = build_session(fixture, spec)
+        crowd = build_crowd_session(
+            fixture,
+            replace(spec, oracle="crowd", crowd_workers=6, crowd_k=3),
+        )
+        assert expert.pnet.estimator.n_shards == 124
+        strategy = InformationGainSelection()
+        for session, advance, count in (
+            (expert, expert.step, 10),
+            (crowd, crowd.round, 3),
+        ):
+            for _ in range(count):
+                columns, gains = strategy.scores(session.pnet)
+                assert len(columns) and gains.max() > 0.0
+                np.testing.assert_allclose(
+                    gains,
+                    _per_shard_gains(session.pnet.estimator.store, columns),
+                    rtol=0.0,
+                    atol=1e-9,
+                )
+                assert advance() is not None
 
 
 class TestReconciliationSessionDirect:
