@@ -16,6 +16,7 @@ invariant on the configuration actually being measured.
 
 from __future__ import annotations
 
+import gc
 import random
 import statistics
 import time
@@ -121,6 +122,10 @@ def test_churn_delta_speedup_gate(capsys):
     re-shard) against building the same post-delta network and store
     from scratch, and asserts the carried shards kept their sample
     masks and walker RNG positions verbatim.
+
+    Each timed region starts from a collected heap, as perfbench's
+    phases do, so neither side pays for collecting garbage left before
+    it: on this network one gen-2 collection costs more than the delta.
     """
     fixture = tenx_fixture()
     network = fixture.network
@@ -142,6 +147,7 @@ def test_churn_delta_speedup_gate(capsys):
             for position, shard in enumerate(store.shards)
         }
 
+        gc.collect()
         start = time.perf_counter()
         result = network.apply_delta(delta)
         carried = store.apply_delta(result)
@@ -159,6 +165,7 @@ def test_churn_delta_speedup_gate(capsys):
         carried_count += len(carried)
         shard_count += len(store.shards)
 
+        gc.collect()
         start = time.perf_counter()
         _rebuild_from_scratch(result, seed=7)
         rebuild_times.append(time.perf_counter() - start)

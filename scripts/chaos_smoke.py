@@ -11,8 +11,10 @@ delta whose commit record never landed (recovery must discard it and
 continue pre-delta).  A service leg crashes one tenant of a fleet, and an
 expert leg crashes a noisy single-expert run at step boundaries, with
 journaled steps (one of them an approval retraction) past the last
-checkpoint.  Takes a few seconds; exits non-zero on the first
-divergence.
+checkpoint.  A sharded expert leg repeats the step-boundary crashes on a
+component-sharded session, whose checkpoints write every shard stream
+that never drew as its spawn seed.  Takes a few seconds; exits non-zero
+on the first divergence.
 
 Usage::
 
@@ -21,13 +23,16 @@ Usage::
 
 from __future__ import annotations
 
+import json
 import pathlib
 import sys
 import tempfile
+from dataclasses import replace
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.durability import (  # noqa: E402
+    CHECKPOINT_FILE,
     FaultPlan,
     RetryPolicy,
     SimulatedCrash,
@@ -123,7 +128,10 @@ def main() -> int:
     code = service_leg(fixture)
     if code:
         return code
-    return expert_leg(fixture)
+    code = expert_leg(fixture, EXPERT_SPEC)
+    if code:
+        return code
+    return expert_leg(fixture, replace(EXPERT_SPEC, sharded=True))
 
 
 def delta_legs(fixture) -> int:
@@ -192,8 +200,6 @@ def service_leg(fixture) -> int:
     recovered from its journal directory, re-admitted under its old
     name, and finished — bit-identical to the run that never crashed.
     """
-    from dataclasses import replace
-
     from repro.experiments.scenarios import tenant_specs
     from repro.service import ReconciliationService
 
@@ -297,16 +303,27 @@ def expert_trace_tuple(trace):
     )
 
 
-def expert_leg(fixture) -> int:
+def seed_form_shards(directory: pathlib.Path) -> int:
+    """How many shard samplers the directory's checkpoint wrote as a seed."""
+    document = json.loads((directory / CHECKPOINT_FILE).read_text())
+    shards = document["pnet"]["shards"]
+    return sum("seed" in shard["sampler"] for shard in shards)
+
+
+def expert_leg(fixture, spec) -> int:
     """Crash a noisy expert after step boundaries; recovery is exact.
 
-    The golden run must retract an earlier approval, and one crash lands
-    right after that step, so the redo re-executes the conflict repair and
-    re-verifies its journaled ``retraction`` record.
+    The unsharded golden run must retract an earlier approval, and one
+    crash lands right after that step, so the redo re-executes the
+    conflict repair and re-verifies its journaled ``retraction`` record.
+    A sharded run need not retract (at seed 0 it does not), but every
+    checkpoint it crashes on must hold seed-form shard samplers, so each
+    recovery re-derives those streams from their seeds.
     """
     from repro.durability import read_journal
 
-    golden = build_session(fixture, EXPERT_SPEC)
+    leg = "sharded expert" if spec.sharded else "expert"
+    golden = build_session(fixture, spec)
     retraction_step = None
     for _ in range(EXPERT_STEPS):
         record = golden.step()
@@ -314,19 +331,19 @@ def expert_leg(fixture) -> int:
             break
         if retraction_step is None and golden.approvals_retracted:
             retraction_step = record.index
-    if retraction_step is None:
-        print("chaos smoke: the expert golden run retracted no approval")
+    if retraction_step is None and not spec.sharded:
+        print(f"chaos smoke: the {leg} golden run retracted no approval")
         return 1
     expected = expert_trace_tuple(golden.trace)
     crashes = sorted(
         set(range(EXPERT_CRASH_STRIDE, EXPERT_STEPS, EXPERT_CRASH_STRIDE))
-        | {retraction_step}
+        | ({retraction_step} if retraction_step is not None else set())
     )
     retraction_replayed = False
     with tempfile.TemporaryDirectory() as tmp:
         for crash_step in crashes:
             directory = pathlib.Path(tmp) / f"step{crash_step}"
-            session = build_session(fixture, EXPERT_SPEC)
+            session = build_session(fixture, spec)
             step = session.step
 
             def crashing_step(step=step, crash_step=crash_step):
@@ -346,7 +363,13 @@ def expert_leg(fixture) -> int:
             except SimulatedCrash:
                 pass
             else:
-                print(f"chaos smoke: no expert crash at step {crash_step}")
+                print(f"chaos smoke: no {leg} crash at step {crash_step}")
+                return 1
+            if spec.sharded and not seed_form_shards(directory):
+                print(
+                    f"chaos smoke: the {leg} checkpoint at step "
+                    f"{crash_step} holds no seed-form shard sampler"
+                )
                 return 1
             _, committed, _ = read_journal(directory / "journal.jsonl")
             recovered, report = recover(directory)
@@ -358,16 +381,20 @@ def expert_leg(fixture) -> int:
             run_durable(recovered, directory, budget=EXPERT_STEPS)
             if expert_trace_tuple(recovered.trace) != expected:
                 print(
-                    "chaos smoke: expert recovery diverged after a crash "
+                    f"chaos smoke: {leg} recovery diverged after a crash "
                     f"at step {crash_step}"
                 )
                 return 1
-    if not retraction_replayed:
-        print("chaos smoke: no expert redo re-verified a retraction record")
+    if spec.sharded:
+        redone = "seed-form shard samplers restored"
+    elif retraction_replayed:
+        redone = f"a retraction at step {retraction_step} redone"
+    else:
+        print(f"chaos smoke: no {leg} redo re-verified a retraction record")
         return 1
     print(
-        f"chaos smoke: expert leg ({len(crashes)} step-boundary crashes, "
-        f"a retraction at step {retraction_step} redone) is bit-identical"
+        f"chaos smoke: {leg} leg ({len(crashes)} step-boundary crashes, "
+        f"{redone}) is bit-identical"
     )
     return 0
 

@@ -8,6 +8,8 @@ component (sampling, repair, instantiation) runs against.
 
 from __future__ import annotations
 
+import json
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .constraints import Constraint, ConstraintEngine, default_constraints
@@ -117,6 +119,20 @@ class MatchingNetwork:
         This is the statistic reported in the paper's Table III.
         """
         return len(self.engine.violations)
+
+    @cached_property
+    def json_text(self) -> str:
+        """The network's ``matching-network`` document as JSON text.
+
+        Encoded once per network object: networks are values (a delta
+        builds a successor, and nothing mutates a compiled network), so a
+        durable session checkpointing many times over one network — or
+        many tenants sharing it — pays the encode once.  Delta successors
+        are fresh objects and never see their predecessor's text.
+        """
+        from ..io import network_to_dict
+
+        return json.dumps(network_to_dict(self), sort_keys=True)
 
     def apply_delta(self, delta) -> "DeltaResult":
         """Evolve the network by a :class:`~repro.core.delta.NetworkDelta`.

@@ -68,6 +68,13 @@ class InstanceSampler:
     rng:
         Source of randomness; pass a seeded :class:`random.Random` for
         reproducible experiments.
+    seed:
+        Instead of ``rng``: the integer seed of a lazily spawned stream.
+        The sampler builds ``random.Random(seed)`` (and the numpy stream
+        seeded from it) on first use — exactly the streams
+        ``rng=random.Random(seed)`` builds up front — and until then its
+        state is the seed alone.  Sharded stores spawn one sampler per
+        shard this way, and most shards are enumerated and never walk.
     """
 
     def __init__(
@@ -76,34 +83,66 @@ class InstanceSampler:
         walk_steps: int = 5,
         rng: Optional[random.Random] = None,
         restart_probability: float = 0.15,
+        seed: Optional[int] = None,
     ):
         if walk_steps < 1:
             raise ValueError("walk_steps must be at least 1")
         if not 0.0 <= restart_probability <= 1.0:
             raise ValueError("restart_probability must lie in [0, 1]")
+        if rng is not None and seed is not None:
+            raise ValueError("pass rng or seed, not both")
         self.network = network
         self.walk_steps = walk_steps
-        self.rng = rng or random.Random()
         self.restart_probability = restart_probability
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
+        self._np_rng: Optional[np.random.Generator] = None
+        if seed is None:
+            self._spawn(rng or random.Random())
+
+    def _spawn(self, rng: random.Random) -> None:
+        self._rng = rng
         # Emission permutations come from a numpy generator (C-level
         # shuffles), seeded off the walk rng so a seeded sampler stays fully
         # deterministic while the two streams remain independent.
-        self.np_rng = np.random.default_rng(self.rng.getrandbits(64))
+        self._np_rng = np.random.default_rng(rng.getrandbits(64))
+
+    @property
+    def rng(self) -> random.Random:
+        """The walk stream (spawned from the seed on first use)."""
+        if self._rng is None:
+            self._spawn(random.Random(self._seed))
+        return self._rng
+
+    @property
+    def np_rng(self) -> np.random.Generator:
+        """The emission stream (spawned with the walk stream)."""
+        if self._np_rng is None:
+            self._spawn(random.Random(self._seed))
+        return self._np_rng
 
     def get_state(self) -> dict:
         """Both RNG streams' states, as plain Python objects.
 
-        The checkpoint layer (:mod:`repro.durability`) persists this so a
-        restored sampler continues the *same* walk and emission streams;
-        the configuration knobs travel separately in the checkpoint.
+        A seeded sampler that has not drawn yet returns ``{"seed": s}``:
+        its streams are still exactly what ``s`` spawns.  The checkpoint
+        layer (:mod:`repro.durability`) persists either form so a restored
+        sampler continues the *same* walk and emission streams; the
+        configuration knobs travel separately in the checkpoint.
         """
+        if self._rng is None:
+            return {"seed": self._seed}
         return {
-            "rng": self.rng.getstate(),
-            "np_rng": self.np_rng.bit_generator.state,
+            "rng": self._rng.getstate(),
+            "np_rng": self._np_rng.bit_generator.state,
         }
 
     def set_state(self, state: dict) -> None:
-        """Restore both RNG streams captured by :meth:`get_state`."""
+        """Restore the streams captured by :meth:`get_state` (either form)."""
+        if "seed" in state:
+            self._seed = int(state["seed"])
+            self._rng = self._np_rng = None
+            return
         version, internal, gauss = state["rng"]
         self.rng.setstate((version, tuple(internal), gauss))
         self.np_rng.bit_generator.state = state["np_rng"]

@@ -9,7 +9,8 @@ session's future behaviour depends on:
 * the sample store — Ω* masks (hex strings), feedback F±, the exhaustion
   flag and version counter — plus both sampler RNG streams
   (``random.Random`` Mersenne state and the numpy generator's
-  bit-generator state, both of which JSON round-trips exactly),
+  bit-generator state, both of which JSON round-trips exactly), or just
+  the 64-bit spawn seed of a shard stream that never drew,
 * the oracle / worker pool: per-worker memoised verdicts and answer-stream
   RNG positions,
 * the session shell: strategy or assignment/aggregator state (by registry
@@ -23,16 +24,22 @@ One encoder/decoder pair (:func:`checkpoint_to_dict`,
 network, estimator, ``on_conflict``, counters, initial uncertainty,
 journal position — and each kind's codec adds only its own fields.
 
-``save_checkpoint`` writes atomically (temp file + ``os.replace``);
-``restore_session`` rebuilds a live session that continues the *same*
-random streams — a restored run is bit-identical to one that never stopped,
-which is the property :mod:`repro.durability.recovery` builds on.
+``save_checkpoint`` writes atomically (temp file + ``os.replace``), and
+splices in the network's JSON text, which the network encodes once and
+caches (:attr:`~repro.core.network.MatchingNetwork.json_text`): only the
+rest of the document is encoded per checkpoint.  ``restore_session``
+rebuilds a live session that continues the *same* random streams — a
+restored run is bit-identical to one that never stopped, which is the
+property :mod:`repro.durability.recovery` builds on.
 
 Sessions backed by a :class:`~repro.core.probability.SampledEstimator` or a
 :class:`~repro.shard.ShardedEstimator` are checkpointable: those are the
 production paths (sharded checkpoints capture every shard's Ω* masks and
-both of its RNG streams, plus the master stream), and the exact estimator's
-state is a pure function of feedback anyway.
+sampler state, plus the master stream), and the exact estimator's state is
+a pure function of feedback anyway.  A shard's sampler state is both of
+its RNG streams once the shard has walked, and until then the seed the
+master stream spawned it from (format version 4); restoring a seed
+re-derives exactly the streams the shard would have built.
 """
 
 from __future__ import annotations
@@ -184,6 +191,7 @@ def _pnet_to_dict(pnet: ProbabilisticNetwork) -> dict:
     estimator = pnet.estimator
     if isinstance(estimator, ShardedEstimator):
         store = estimator.store
+        state = store.get_state()
         return {
             "estimator": "sharded",
             "config": {
@@ -194,16 +202,16 @@ def _pnet_to_dict(pnet: ProbabilisticNetwork) -> dict:
                 "max_shards": store.max_shards,
                 "enumerate_limit": store.enumerate_limit,
             },
-            "approved": _corrs_to_list(store.feedback.approved),
-            "disapproved": _corrs_to_list(store.feedback.disapproved),
-            "version": store.version,
-            "rng": store.rng.getstate(),
+            "approved": _corrs_to_list(state["approved"]),
+            "disapproved": _corrs_to_list(state["disapproved"]),
+            "version": state["version"],
+            "rng": state["rng"],
             "shards": [
                 {
-                    "store": _store_state_to_dict(shard.store.get_state()),
-                    "sampler": shard.store.sampler.get_state(),
+                    "store": _store_state_to_dict(shard["store"]),
+                    "sampler": shard["sampler"],
                 }
-                for shard in store.shards
+                for shard in state["shards"]
             ],
         }
     if not isinstance(estimator, SampledEstimator):
@@ -240,6 +248,8 @@ def _check_single_chain(config: dict, where: str) -> None:
 
 
 def _sampler_state_from_json(state: dict) -> dict:
+    if "seed" in state:
+        return {"seed": state["seed"]}
     return {
         "rng": _rng_from_json(state["rng"]),
         "np_rng": state["np_rng"],
@@ -613,12 +623,12 @@ _CODECS = {
 }
 
 
-def checkpoint_to_dict(session: SessionCore) -> dict:
-    """The checkpoint document of a live session.
+def _checkpoint_body(session: SessionCore) -> dict:
+    """The checkpoint document of a live session, all but its network.
 
-    The fields both kinds share — the network, the estimator state, the
-    conflict policy and counters, the initial uncertainty and the journal
-    position — are written here; the kind's encoder adds the rest.
+    The fields both kinds share — the estimator state, the conflict
+    policy and counters, the initial uncertainty and the journal position
+    — are written here; the kind's encoder adds the rest.
     """
     codec = _CODECS.get(getattr(session, "kind", None))
     if codec is None:
@@ -628,7 +638,6 @@ def checkpoint_to_dict(session: SessionCore) -> dict:
         kind=CHECKPOINT_KIND,
         version=FORMAT_VERSION,
         session=session.kind,
-        network=network_to_dict(session.pnet.network),
         pnet=_pnet_to_dict(session.pnet),
         on_conflict=session.on_conflict,
         conflicts_resolved=session.conflicts_resolved,
@@ -637,6 +646,13 @@ def checkpoint_to_dict(session: SessionCore) -> dict:
         journal_seq=None if session.journal is None else session.journal.seq,
     )
     document["trace"]["initial_uncertainty"] = session.trace.initial_uncertainty
+    return document
+
+
+def checkpoint_to_dict(session: SessionCore) -> dict:
+    """The checkpoint document of a live session, network included."""
+    document = _checkpoint_body(session)
+    document["network"] = network_to_dict(session.pnet.network)
     return document
 
 
@@ -664,16 +680,19 @@ def save_checkpoint(
     """Atomically write a session checkpoint (temp file + ``os.replace``).
 
     A crash mid-save therefore leaves either the previous checkpoint or the
-    new one — never a torn file.
+    new one — never a torn file.  The file is ``{"network": ..., <the
+    rest, sorted>}``: the network's cached JSON text spliced ahead of the
+    encoded body, so it parses to exactly :func:`checkpoint_to_dict`.
     """
     path = pathlib.Path(path)
     # One ``dumps`` call runs json's C encoder; streaming ``dump`` runs
     # the pure-Python one, several times slower on the same bytes.  The
     # service runs commands on its event loop, so a checkpoint's encode
     # time delays every tenant's next command.
-    text = json.dumps(
-        checkpoint_to_dict(session), sort_keys=True, default=_json_default
+    body = json.dumps(
+        _checkpoint_body(session), sort_keys=True, default=_json_default
     )
+    text = '{"network": ' + session.pnet.network.json_text + ", " + body[1:]
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w") as handle:
         handle.write(text)

@@ -33,13 +33,16 @@ from .core.schema import Attribute, Schema
 #: Current on-disk format version.  Version 2 added network-delta
 #: documents, delta journal transactions and the sessions'
 #: ``deltas_applied`` counter; version 3 added the delta ``rescore``
-#: entries (in-place confidence updates).  Every older document still
-#: loads (restore fills the new fields with their defaults), so bumping
-#: the version does not orphan existing checkpoints.
-FORMAT_VERSION = 3
+#: entries (in-place confidence updates); version 4 lets a sharded
+#: checkpoint write a shard sampler that never drew as ``{"seed": s}``,
+#: its 64-bit spawn seed, instead of both RNG streams.  Every older
+#: document still loads (restore fills the new fields with their
+#: defaults), so bumping the version does not orphan existing
+#: checkpoints.
+FORMAT_VERSION = 4
 
 #: Versions the loaders accept.  Writers always emit ``FORMAT_VERSION``.
-SUPPORTED_VERSIONS = (1, 2, 3)
+SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
 
 class FormatError(ValueError):

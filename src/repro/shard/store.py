@@ -217,10 +217,13 @@ class ShardedSampleStore:
     def _build_shard(self, position: int, indices: tuple[int, ...]) -> Shard:
         """Construct one shard; the master rng spawns its stream.
 
-        Shard RNG streams are drawn from ``self.rng`` in shard order, so
-        the full decomposition is a pure function of the master seed —
-        and checkpointing the per-shard sampler states (not the master)
-        is what resumes mid-flight sessions bit-for-bit.
+        Each shard's 64-bit stream seed is drawn from ``self.rng`` in
+        shard order, so the full decomposition is a pure function of the
+        master seed — and checkpointing the per-shard sampler states (not
+        the master) is what resumes mid-flight sessions bit-for-bit.  The
+        sampler keeps the seed and builds its streams only when the shard
+        first walks; an enumerated shard never does, so it checkpoints as
+        the seed alone.
 
         The shard store starts from the slice of ``self.feedback`` its
         candidates carry (empty on a fresh build): the delta path
@@ -239,12 +242,12 @@ class ShardedSampleStore:
             )
         else:
             subnet = self.network.restricted_to(members)
-        # The master rng ALWAYS spawns the shard stream here, catalog hit
+        # The master rng ALWAYS draws the shard's seed here, catalog hit
         # or not — stream spawning is part of the deterministic contract.
         sampler = InstanceSampler(
             subnet,
             walk_steps=self.walk_steps,
-            rng=random.Random(self.rng.getrandbits(64)),
+            seed=self.rng.getrandbits(64),
             restart_probability=self.restart_probability,
         )
         state = _empty_store_state(self.target_samples, self.min_samples)
@@ -513,8 +516,9 @@ class ShardedSampleStore:
 
         The shard *plan* is recomputed on restore (it is a pure function
         of the network and ``max_shards``); what must round-trip exactly
-        is each shard's Ω* masks and both of its RNG streams, plus the
-        master stream that would seed any future shards.
+        is each shard's Ω* masks and its sampler state — both RNG streams,
+        or the stream seed of a shard that never walked — plus the master
+        stream that would seed any future shards.
         """
         return {
             "approved": sorted(self.feedback.approved),

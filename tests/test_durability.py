@@ -716,10 +716,11 @@ class TestShardedCheckpointRoundTrip:
         config = pnet_doc["config"]
         assert config["target_samples"] == estimator.store.target_samples
         assert "chains" not in config and "parallel" not in config
-        # Every shard checkpoints both RNG streams.
-        for shard_doc in pnet_doc["shards"]:
-            assert "rng" in shard_doc["sampler"]
-            assert "np_rng" in shard_doc["sampler"]
+        # A shard checkpoints exactly its stream seed until it walks, then
+        # both RNG streams; this network's 20 shards are all enumerated,
+        # so none has drawn and every entry is a seed.
+        forms = [set(shard_doc["sampler"]) for shard_doc in pnet_doc["shards"]]
+        assert forms == [{"seed"}] * 20
 
     def test_restored_store_state_matches_exactly(self, tmp_path):
         session = build_session(small_fixture(), self._sharded_spec())
@@ -782,3 +783,105 @@ class TestShardedCheckpointRoundTrip:
         assert crowd_trace_tuple(restored.trace) == crowd_trace_tuple(
             session.trace
         )
+
+
+class TestSeedFormShardSamplers:
+    """A shard stream that never drew checkpoints as its spawn seed.
+
+    With ``enumerate_limit=3`` two of this network's 20 shards hold more
+    instances than the limit and walk; the other 18 are enumerated, so
+    their samplers never spawn streams.  One checkpoint therefore mixes
+    both sampler forms, and the restored session must continue exactly.
+    """
+
+    def _session(self):
+        from repro.core import NoisyOracle, ProbabilisticNetwork
+        from repro.core.reconciliation import ReconciliationSession
+        from repro.core.selection import make_strategy
+        from repro.shard import ShardedEstimator
+
+        fixture = small_fixture()
+        estimator = ShardedEstimator(
+            fixture.network,
+            target_samples=100,
+            enumerate_limit=3,
+            rng=random.Random(7),
+        )
+        return ReconciliationSession(
+            ProbabilisticNetwork(fixture.network, estimator=estimator),
+            NoisyOracle(fixture.ground_truth, 0.15, rng=random.Random(9)),
+            make_strategy("likelihood", random.Random(8)),
+            on_conflict="disapprove",
+        )
+
+    def test_mixed_forms_round_trip(self, tmp_path):
+        session = self._session()
+        for _ in range(8):
+            session.step()
+        path = save_checkpoint(session, tmp_path / "c")
+        forms = [
+            sorted(shard_doc["sampler"])
+            for shard_doc in json.loads(path.read_text())["pnet"]["shards"]
+        ]
+        assert forms.count(["seed"]) == 18
+        assert forms.count(["np_rng", "rng"]) == 2
+        restored = restore_session(path)
+        for a, b in zip(
+            session.pnet.estimator.store.shards,
+            restored.pnet.estimator.store.shards,
+        ):
+            assert a.store.sampler.get_state() == b.store.sampler.get_state()
+        for _ in range(15):
+            session.step()
+            restored.step()
+        assert len(session.trace.steps) == 23
+        assert restored.trace == session.trace
+
+
+class TestSplicedCheckpointFile:
+    """``save_checkpoint`` splices the network's cached JSON text into the
+    file; the file must still parse to exactly ``checkpoint_to_dict``,
+    including after deltas replace the network object."""
+
+    @staticmethod
+    def _assert_file_is_document(session, path):
+        saved = json.loads(save_checkpoint(session, path).read_text())
+        assert saved == json.loads(json.dumps(checkpoint_to_dict(session)))
+        assert next(iter(saved)) == "network"
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["sampled", "sharded"])
+    def test_expert_session(self, tmp_path, sharded):
+        session = build_session(
+            small_fixture(), expert_spec(sharded=sharded, strategy="likelihood")
+        )
+        session.run(budget=3)
+        self._assert_file_is_document(session, tmp_path / "c")
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["sampled", "sharded"])
+    def test_crowd_session(self, tmp_path, sharded):
+        session = build_crowd_session(
+            small_fixture(),
+            crowd_spec(sharded=sharded, strategy="likelihood"),
+        )
+        session.round()
+        self._assert_file_is_document(session, tmp_path / "c")
+
+    def test_after_churn_and_rescore(self, tmp_path):
+        from repro.core import NetworkDelta
+
+        session = build_session(
+            small_fixture(), expert_spec(sharded=True, strategy="likelihood")
+        )
+        session.run(budget=3)
+        path = tmp_path / "c"
+        self._assert_file_is_document(session, path)
+        session.apply_delta(
+            make_churn_delta(session.pnet.network, 0.25, random.Random(3))
+        )
+        self._assert_file_is_document(session, path)
+        corr = session.pnet.network.correspondences[0]
+        session.apply_delta(NetworkDelta(rescore=((corr, 0.125),)))
+        assert session.pnet.network.confidence(corr) == 0.125
+        self._assert_file_is_document(session, path)
+        restored = restore_session(path)
+        assert restored.pnet.network.confidence(corr) == 0.125

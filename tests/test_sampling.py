@@ -3,6 +3,9 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_wave_maximalize import random_networks
 
 from repro.core import (
     Feedback,
@@ -96,6 +99,52 @@ class TestInstanceSampler:
         sampler = InstanceSampler(network, rng=random.Random(0))
         samples = sampler.sample(10)
         assert set(samples) == {frozenset({c["c1"], c["c2"], c["c3"]})}
+
+
+class TestSeededSampler:
+    """``InstanceSampler(seed=s)`` spawns its streams on first use: exactly
+    the streams ``rng=random.Random(s)`` builds up front.  Until then its
+    state is the seed alone, and both state forms round-trip."""
+
+    @given(
+        network=random_networks(),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @settings(
+        max_examples=25,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_lazy_streams_equal_eager_streams(self, network, seed):
+        lazy = InstanceSampler(network, seed=seed)
+        eager = InstanceSampler(network, rng=random.Random(seed))
+        assert lazy.get_state() == {"seed": seed}
+        restored = InstanceSampler(network, seed=0)
+        restored.set_state(lazy.get_state())
+        assert restored.get_state() == {"seed": seed}
+        for count in (3, 8, 5):
+            expected = eager.sample_masks(count)
+            assert lazy.sample_masks(count) == expected
+            assert restored.sample_masks(count) == expected
+        assert lazy.get_state() == eager.get_state()
+        # The full form round-trips onto an unspawned sampler too.
+        resumed = InstanceSampler(network, seed=seed + 1)
+        resumed.set_state(lazy.get_state())
+        assert resumed.get_state() == eager.get_state()
+        assert resumed.sample_masks(6) == eager.sample_masks(6)
+
+    def test_seed_form_resets_a_spawned_sampler(self, movie_network):
+        sampler = InstanceSampler(movie_network, rng=random.Random(1))
+        sampler.sample_masks(4)
+        sampler.set_state({"seed": 5})
+        assert sampler.get_state() == {"seed": 5}
+        fresh = InstanceSampler(movie_network, rng=random.Random(5))
+        assert sampler.sample_masks(7) == fresh.sample_masks(7)
+
+    def test_rng_and_seed_are_exclusive(self, movie_network):
+        with pytest.raises(ValueError, match="rng or seed"):
+            InstanceSampler(movie_network, rng=random.Random(1), seed=1)
 
 
 class TestWalkEdgeCases:
