@@ -129,6 +129,10 @@ def test_bench_emission_wave_webform(benchmark):
         wave_maximalize_batch, engine, states, allowed, np_rng=np_rng
     )
     _assert_valid_emissions(engine, allowed, masks)
+    # Deterministic schedules agree bit for bit with the scalar kernel.
+    assert wave_maximalize_batch(engine, states, allowed) == [
+        greedy_maximalize_mask(engine, state, allowed) for state in states
+    ]
 
 
 @pytest.mark.slow

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI entrypoint: byte-compile the package, import/dead-store lint,
-# the fast test profile, the shard-parity and chaos smokes, the perfbench
-# self-test, then the
+# the fast test profile, the shard-parity, emission-parity and chaos smokes,
+# the perfbench self-test, then the
 # src/repro/{core,crowd,analysis,durability,shard,service} line-coverage
 # floors (stdlib settrace tracer over the deterministic test files — the
 # container ships no coverage.py).
@@ -30,6 +30,11 @@ python -m pytest -q \
     "tests/test_shard_equivalence.py::TestCrowdTraceEquivalence::test_sharded_crowd_trace_bit_identical" \
     "tests/test_shard_equivalence.py::TestReferenceScaleInformationGain" \
     -k "0- or ReferenceScale"
+# Emission parity smoke: the priority-wave kernel must reproduce the
+# sequential greedy scan for fixed priorities (pair, triangle and 4- and
+# 5-member violations, across the 64-emission word boundary), re-run
+# standalone so a kernel regression is named in the CI log.
+python -m pytest -q tests/test_wave_maximalize.py -k "Parity"
 # Durability: crash at every round boundary of a seeded crowd run, recover
 # from checkpoint + journal, require a bit-identical final trace.
 python scripts/chaos_smoke.py

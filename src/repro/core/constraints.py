@@ -465,33 +465,30 @@ class WaveTables:
     (= ``len(conflicted)``) is the always-True sentinel column, so padded
     rows are harmless under ``all()`` reductions.
 
-    * ``dep_src``/``dep_dst`` list, row by row, every (candidate, violation
-      partner) arc.  Arcs are grouped by ``dep_src`` so the per-candidate
-      "some arc fired" OR is one ``np.bitwise_or.reduceat`` over
-      ``dep_starts`` (the kernel packs the emission axis into 64-bit
-      words, which makes the reduction rows a handful of words); group
-      ``g`` belongs to candidate ``dep_group[g]``.  Arcs come in
-      (a, b)/(b, a) pairs: ``dep_fwd`` indexes the arcs with
-      ``dep_src < dep_dst`` and ``dep_rev[k]`` is the reverse arc of
-      ``dep_fwd[k]``, so the kernel compares each pair's priorities once.
-    * Blocking rows mirror the engine's blocked pre-filter: row ``r``
-      holds the co-members of one violation through a candidate, padded
-      with the sentinel ``m``, stored column-wise (``blk_columns[:, r]``)
-      so the kernel gathers each co-member position with one contiguous
-      index array.  The candidate is blocked when some row's co-members are
-      all selected.  Rows are grouped by member, and every conflicted
-      candidate is a member of some violation, so group ``k`` (from
-      ``blk_starts[k]``) belongs to candidate ``k``.
+    * ``pair_lo``/``pair_hi`` list every violation-partner pair once,
+      ``lo < hi``, so the kernel compares each pair's priorities once per
+      call.
+    * Blocking rows: row ``r`` holds the co-members of one violation
+      through a candidate, padded with the sentinel ``m``, stored
+      column-wise (``blk_columns[:, r]``) so the kernel gathers each
+      co-member position with one contiguous index array.  Rows are
+      grouped by member, and every conflicted candidate is a member of
+      some violation, so group ``k`` (from ``blk_starts[k]``) belongs to
+      candidate ``k`` and the per-candidate "some row" OR is one
+      ``np.bitwise_or.reduceat`` (the kernel packs the emission axis into
+      64-bit words, which makes the reduction rows a handful of words).
+    * ``blk_pairs[:, r]`` maps each co-member of row ``r`` to the entry of
+      the kernel's per-call table of "the co-member precedes the member":
+      ``q`` when the member is pair ``q``'s ``lo`` side, ``Q + q`` when it
+      is the ``hi`` side (``Q = len(pair_lo)``), and ``2Q`` for the
+      sentinel.
     """
 
     conflicted: np.ndarray  # (m,) engine indices of the conflicted candidates
-    dep_src: np.ndarray  # (P,) compact candidate per dependency arc
-    dep_dst: np.ndarray  # (P,) compact partner per dependency arc
-    dep_fwd: np.ndarray  # (P/2,) arcs with dep_src < dep_dst
-    dep_rev: np.ndarray  # (P/2,) reverse arc of each dep_fwd arc
-    dep_starts: np.ndarray  # (G,) reduceat group starts into the arcs
-    dep_group: np.ndarray  # (G,) compact candidate of each arc group
+    pair_lo: np.ndarray  # (Q,) lower compact partner of each partner pair
+    pair_hi: np.ndarray  # (Q,) higher compact partner of each partner pair
     blk_columns: np.ndarray  # (W, R) compact co-members, sentinel-padded
+    blk_pairs: np.ndarray  # (W, R) precedence-table entry per co-member
     blk_starts: np.ndarray  # (m,) reduceat group starts into the rows
 
 
@@ -841,28 +838,6 @@ class ConstraintEngine:
         conflicted = np.asarray(mask_indices(self.conflicted_mask), dtype=np.intp)
         m = len(conflicted)
         compact = {int(full): k for k, full in enumerate(conflicted)}
-        compact_members = [
-            [compact[i] for i in mask_indices(vmask)]
-            for vmask in self.violation_masks
-        ]
-        # Dependency arcs: all (member, co-member) pairs, deduped per member.
-        partners: list[set[int]] = [set() for _ in range(m)]
-        for members in compact_members:
-            for a in members:
-                partners[a].update(members)
-        dep_src: list[int] = []
-        dep_dst: list[int] = []
-        dep_starts: list[int] = []
-        dep_group: list[int] = []
-        for a in range(m):
-            partners[a].discard(a)
-            if not partners[a]:
-                continue
-            dep_starts.append(len(dep_src))
-            dep_group.append(a)
-            for b in sorted(partners[a]):
-                dep_src.append(a)
-                dep_dst.append(b)
         # Blocking rows: one (member, padded co-members) row per violation
         # membership, grouped by member.  Width is clamped to ≥1 so that a
         # network whose violations are all singletons still yields rows —
@@ -870,7 +845,8 @@ class ConstraintEngine:
         # exactly the scalar kernel's semantics.
         width = max(max((len(v) - 1 for v in self.violations), default=1), 1)
         by_member: list[list[list[int]]] = [[] for _ in range(m)]
-        for members in compact_members:
+        for vmask in self.violation_masks:
+            members = [compact[i] for i in mask_indices(vmask)]
             for a in members:
                 row = [b for b in members if b != a]
                 row.extend([m] * (width - len(row)))
@@ -880,23 +856,28 @@ class ConstraintEngine:
         for rows in by_member:
             blk_starts.append(len(blk_rows))
             blk_rows.extend(rows)
-        src = np.asarray(dep_src, dtype=np.intp)
-        dst = np.asarray(dep_dst, dtype=np.intp)
-        # The arcs are sorted by (src, dst) and the arc set is symmetric, so
-        # sorting them by (dst, src) lists each arc's reverse in its place.
-        reverse = np.argsort(dst * m + src)
-        forward = np.flatnonzero(src < dst)
+        columns = np.asarray(blk_rows, dtype=np.intp).reshape(-1, width)
+        owner = np.repeat(
+            np.arange(m, dtype=np.intp), [len(rows) for rows in by_member]
+        )[:, None]
+        # Partner pairs, each once with lo < hi, keyed lo·m + hi; a row's
+        # co-member maps to its pair's entry, offset by Q when the member is
+        # the pair's hi side, and sentinel co-members to entry 2Q.
+        real = columns < m
+        keys = np.minimum(owner, columns) * m + np.maximum(owner, columns)
+        pairs = np.unique(keys[real])
+        q = len(pairs)
+        entries = np.where(
+            real,
+            np.searchsorted(pairs, keys) + np.where(owner < columns, 0, q),
+            2 * q,
+        )
         return WaveTables(
             conflicted=conflicted,
-            dep_src=src,
-            dep_dst=dst,
-            dep_fwd=forward,
-            dep_rev=reverse[forward],
-            dep_starts=np.asarray(dep_starts, dtype=np.intp),
-            dep_group=np.asarray(dep_group, dtype=np.intp),
-            blk_columns=np.ascontiguousarray(
-                np.asarray(blk_rows, dtype=np.intp).reshape(-1, width).T
-            ),
+            pair_lo=pairs // m,
+            pair_hi=pairs % m,
+            blk_columns=np.ascontiguousarray(columns.T),
+            blk_pairs=np.ascontiguousarray(entries.T),
             blk_starts=np.asarray(blk_starts, dtype=np.intp),
         )
 

@@ -177,9 +177,9 @@ class SampledEstimator(ProbabilityEstimator):
         return self.store.sample_masks
 
     def membership_matrix(self):
-        """The store's cached 0/1 sample-membership matrix (float64, the
-        dtype the information-gain reductions consume directly)."""
-        return self.store.matrix_float()
+        """The store's cached boolean sample-membership matrix (the array
+        the information-gain reductions consume directly)."""
+        return self.store.matrix()
 
     def probabilities(self) -> dict[Correspondence, float]:
         # The store's frequency view is an immutable cached mapping; copy it

@@ -39,8 +39,8 @@ from .correspondence import Correspondence
 _PREFILTER_MIN_AVAIL = 24
 
 #: Priorities per gathered block when ``wave_maximalize_batch`` compares
-#: dependency arcs (32 768 float64 values, 256 KB per operand).
-_ARC_BLOCK = 1 << 15
+#: partner pairs (32 768 float64 values, 256 KB per operand).
+_PAIR_BLOCK = 1 << 15
 
 
 class UnrepairableError(ValueError):
@@ -309,31 +309,45 @@ def wave_maximalize_batch(
 ) -> list[int]:
     """Maximalise a whole batch of instances with priority waves.
 
-    The batched counterpart of the scalar :func:`greedy_maximalize_mask`,
-    after the random-priority greedy maximal-independent-set schedule of
-    Blelloch, Fineman & Shun (*Greedy sequential maximal independent set
-    and matching are parallel on average*, SPAA 2012): instead of scanning
-    one emission's conflicted availability sequentially, every emission
-    draws a random priority per conflicted candidate and candidates are
-    admitted in numpy *waves* — a candidate is decided as soon as every
-    lower-priority violation partner (the engine's
-    :class:`~repro.core.constraints.WaveTables` dependency arcs) has been
-    decided, and admitted unless a violation would complete against the
-    already-admitted selection.  Violation-free candidates are OR-ed in
-    wholesale up front, exactly as the scalar kernel does.
+    The batched counterpart of the scalar :func:`greedy_maximalize_mask`:
+    instead of scanning one emission's conflicted availability
+    sequentially, every emission draws a random priority per conflicted
+    candidate, and candidates are decided in numpy *waves* over the
+    violation rows of the engine's
+    :class:`~repro.core.constraints.WaveTables`.  Violation-free
+    candidates are OR-ed in wholesale up front, exactly as the scalar
+    kernel does.
 
-    **Exactness.**  For a fixed priority assignment the wave schedule
-    computes precisely the sequential greedy scan in increasing-priority
-    order: when a candidate is decided, its selected violation partners are
-    exactly the admitted lower-priority ones (higher-priority partners are
-    still waiting on it), so every admission test sees the same selection
-    the sequential scan would.  Priority ties decide the lower index first,
-    mirroring an index-ordered scan.  With iid uniform priorities per
-    emission (``np_rng``) the induced scan order is a uniform permutation
-    of the conflicted availability — the same emission distribution as the
+    The schedule is the random-priority greedy maximal-independent-set
+    schedule of Blelloch, Fineman & Shun (*Greedy sequential maximal
+    independent set and matching are parallel on average*, SPAA 2012),
+    with one departure: there a vertex waits on every lower-priority
+    neighbour, here a candidate waits per violation, not per partner.  A
+    live candidate c waits only on a violation through c whose co-members
+    are each preselected, or precede c in (priority, index) order and are
+    still admitted or live — only such a violation can still complete at
+    c's turn.  c is rejected once some violation's co-members are all
+    preselected or admitted-and-preceding, and admitted once no violation
+    through c can complete.  A 3-member violation with one later co-member
+    cannot complete at c's turn, so c does not wait on its other member;
+    on conflict-dense networks that cuts the waves per call about
+    threefold.
+
+    **Exactness.**  For a fixed priority assignment the waves compute
+    precisely the sequential greedy scan in increasing (priority, index)
+    order.  At c's turn that scan has selected the preselected candidates
+    plus the admitted ones that precede c, and a decided fate never
+    changes; so a rejection (some violation complete against those) and
+    an admission (every violation through c has a co-member that is
+    neither preselected nor selected before c) are the scan's own
+    decisions.  The live candidate least in (priority, index) order has
+    no live predecessor, so every wave decides it and the waves always
+    progress.  Priority ties decide the lower index first, mirroring an
+    index-ordered scan.  With iid uniform priorities per emission
+    (``np_rng``) the induced scan order is a uniform permutation of the
+    conflicted availability — the same emission distribution as the
     scalar kernel's ``np_rng.permutation`` path, with the whole refill's
-    emissions decided in a handful of array waves (the dependency depth of
-    random priorities is logarithmic).
+    emissions decided in a handful of array waves.
 
     ``instances`` are walk-state selection masks, all sampled under the same
     ``allowed`` mask (candidates minus F⁻).  ``priorities`` overrides the
@@ -359,10 +373,10 @@ def wave_maximalize_batch(
     # emission axis packed into 64-bit words: a wave's boolean algebra over
     # the whole batch is a few word ops per candidate row, and the
     # per-candidate group-ORs reduce rows of a handful of words.  Padding
-    # bits past ``count`` stay zero throughout (packbits zero-pads, `live`
-    # starts masked by ``pad`` and only ever shrinks, and the one
-    # complement below is re-masked), so they never leak into real
-    # emissions.
+    # bits past ``count`` stay zero in ``sel[:m]`` and ``live`` (packbits
+    # zero-pads, ``live`` starts masked by ``pad`` and only ever shrinks,
+    # and every decision is masked by ``live``), so they never leak into
+    # real emissions.
     nbytes = (count + 7) // 8
     words = (count + 63) // 64
 
@@ -397,56 +411,60 @@ def wave_maximalize_batch(
         pri = np.broadcast_to(
             np.arange(m, dtype=np.float64)[:, None], (m, count)
         )
-    # Arc wins — "the partner precedes the candidate" — are wave-invariant,
-    # so they are hoisted out of the loop.  Arcs come in (a, b)/(b, a)
-    # pairs: each pair is compared once, on its a < b side, with a strict
-    # ``pri[b] < pri[a]``; the reverse arc wins exactly when that one does
-    # not (a tie goes to the lower index a either way).
-    fwd, dep_dst = tables.dep_fwd, tables.dep_dst
-    fwd_src, fwd_dst = tables.dep_src[fwd], dep_dst[fwd]
-    # Compared a block of arcs at a time, so the two gathered priority
-    # blocks stay in cache instead of streaming P/2 × count floats.
-    before = np.empty((len(fwd), count), dtype=bool)
-    step = max(1, _ARC_BLOCK // count)
-    for lo in range(0, len(fwd), step):
+    # "The co-member precedes the member" is wave-invariant, so it is
+    # hoisted out of the loop: each partner pair (lo < hi) is compared once
+    # with a strict ``pri[hi] < pri[lo]``, and the hi side's entry is its
+    # complement (a tie goes to the lower index lo either way).  Compared a
+    # block of pairs at a time, so the two gathered priority blocks stay in
+    # cache instead of streaming Q × count floats.
+    pair_lo, pair_hi = tables.pair_lo, tables.pair_hi
+    q = len(pair_lo)
+    before = np.empty((q, count), dtype=bool)
+    step = max(1, _PAIR_BLOCK // count)
+    for lo in range(0, q, step):
         np.less(
-            np.take(pri, fwd_dst[lo : lo + step], axis=0),
-            np.take(pri, fwd_src[lo : lo + step], axis=0),
+            np.take(pri, pair_hi[lo : lo + step], axis=0),
+            np.take(pri, pair_lo[lo : lo + step], axis=0),
             out=before[lo : lo + step],
         )
-    fwd_wins = pack(before)
-    arc_wins = np.empty((len(dep_dst), words), dtype=np.uint64)
-    arc_wins[fwd] = fwd_wins
-    arc_wins[tables.dep_rev] = ~fwd_wins & pad
+    ahead = np.empty((2 * q + 1, words), dtype=np.uint64)
+    ahead[:q] = pack(before)
+    ahead[q : 2 * q] = ~ahead[:q] & pad
+    ahead[2 * q] = pad
+    # The row constant: every co-member is preselected or precedes the
+    # member.  Only such a row can complete at the member's turn.
+    columns, starts = tables.blk_columns, tables.blk_starts
+    row_open = np.take(sel, columns[0], axis=0)
+    row_open |= np.take(ahead, tables.blk_pairs[0], axis=0)
+    for column, entry in zip(columns[1:], tables.blk_pairs[1:]):
+        term = np.take(sel, column, axis=0)
+        term |= np.take(ahead, entry, axis=0)
+        row_open &= term
+    # ``maybe``: selected, or live and so possibly admitted later.
+    maybe = sel.copy()
+    maybe[:m] |= live
     while live.any():
-        # Prune live candidates some violation already blocks: blocking is
-        # monotone in the selection, so their fate (rejected) is known now —
-        # deciding them early frees their partners from waiting on them
-        # without changing any admission test.
-        hit = np.take(sel, tables.blk_columns[0], axis=0)
-        for column in tables.blk_columns[1:]:
-            hit &= np.take(sel, column, axis=0)
-        live &= ~np.bitwise_or.reduceat(hit, tables.blk_starts, axis=0)
-        # Ready: every live lower-priority partner has been decided.
-        cond = np.take(live, dep_dst, axis=0)
-        cond &= arc_wins
-        waiting = np.zeros((m, words), dtype=np.uint64)
-        waiting[tables.dep_group] = np.bitwise_or.reduceat(
-            cond, tables.dep_starts, axis=0
-        )
-        ready = live & ~waiting
-        # A live minimum-(priority, index) candidate is always ready (NaN,
-        # the one float that breaks the argument, is rejected on input), so
-        # the wave always makes progress; the guard is pure defence.
-        if not ready.any():
-            if not live.any():
-                break
+        # A row completes when its co-members are all selected (those that
+        # are not preselected precede the member, by the row constant), and
+        # can still complete while they are all selected or live.
+        done = np.take(sel, columns[0], axis=0)
+        can = np.take(maybe, columns[0], axis=0)
+        for column in columns[1:]:
+            done &= np.take(sel, column, axis=0)
+            can &= np.take(maybe, column, axis=0)
+        done &= row_open
+        can &= row_open
+        rejected = live & np.bitwise_or.reduceat(done, starts, axis=0)
+        admitted = live & ~np.bitwise_or.reduceat(can, starts, axis=0)
+        # The live minimum-(priority, index) candidate is always decided
+        # (NaN, the one float that breaks the argument, is rejected on
+        # input), so the wave always makes progress; the guard is pure
+        # defence.
+        if not (rejected.any() or admitted.any()):
             raise ValueError("priority waves stalled")
-        # Ready candidates are mutually violation-free (two co-members of a
-        # violation gate each other), and the blocked ones were just pruned:
-        # admit them all.
-        sel[:m] |= ready
-        live &= ~ready
+        sel[:m] |= admitted
+        maybe[:m] &= ~rejected
+        live &= ~(admitted | rejected)
     rows[:, conflicted] = np.unpackbits(
         sel[:m].view(np.uint8), axis=1, bitorder="little"
     )[:, :count].T

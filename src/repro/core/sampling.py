@@ -16,10 +16,12 @@ Emissions are *batched*: the walk collects its pre-emission states
 (:meth:`InstanceSampler.walk_states`) and a whole refill's worth is
 maximalised at once by the priority-wave kernel
 :func:`~repro.core.repair.wave_maximalize_batch` (per-emission random
-priorities, numpy admission waves) instead of one sequential scan per
-instance.  The store keeps Ω* as a list of masks (plus a cached numpy
-membership matrix for frequency / information-gain reductions) and converts
-to frozensets only at the public ``samples`` boundary.
+priorities, numpy waves in which a candidate waits only on the violations
+that can still complete at its turn) instead of one sequential scan per
+instance.  The store keeps Ω* as a list of masks (plus a cached boolean
+membership matrix, the one array the frequency and information-gain
+reductions read) and converts to frozensets only at the public ``samples``
+boundary.
 
 Two notes on fidelity to the paper:
 
@@ -266,7 +268,7 @@ class SampleStore:
     that the frequency and information-gain reductions run on.
 
     **The Ω*-conditioning invariant.**  The numpy caches (membership matrix,
-    float view, counts, probability vector) are *views over Ω**: row *i*
+    counts, probability vector) are *views over Ω**: row *i*
     always describes ``_sample_masks[i]``, in order.  An assertion
     *conditions* Ω* on the asserted bit — it partitions the sample set into
     the instances containing the correspondence and those not containing it,
@@ -282,7 +284,9 @@ class SampleStore:
     (:func:`~repro.core.repair.wave_maximalize_batch`): each walk state
     draws iid uniform priorities over the conflicted availability and is
     extended to the unique maximal instance the sequential greedy scan in
-    increasing-priority order would build.  Because that order is a uniform
+    increasing-priority order would build (the waves decide a candidate
+    once every violation through it is settled at its turn, so they
+    reproduce that scan exactly).  Because that order is a uniform
     permutation of the availability, the per-emission instance distribution
     is exactly the historical per-instance permutation scan's, so Ω* stays
     a valid Ω* sample per Section III-B — only the random stream (one
@@ -312,7 +316,6 @@ class SampleStore:
         self.version = 0
         self._samples_cache: Optional[tuple[frozenset[Correspondence], ...]] = None
         self._matrix_cache: Optional[np.ndarray] = None
-        self._matrix_float_cache: Optional[np.ndarray] = None
         self._counts_cache: Optional[np.ndarray] = None
         self._prob_vector_cache: Optional[np.ndarray] = None
         self._frequency_cache: Optional[Mapping[Correspondence, float]] = None
@@ -361,7 +364,6 @@ class SampleStore:
         store.version = int(state["version"])
         store._samples_cache = None
         store._matrix_cache = None
-        store._matrix_float_cache = None
         store._counts_cache = None
         store._prob_vector_cache = None
         store._frequency_cache = None
@@ -408,7 +410,6 @@ class SampleStore:
         self.version += 1
         self._samples_cache = None
         self._matrix_cache = None
-        self._matrix_float_cache = None
         self._counts_cache = None
         self._prob_vector_cache = None
         self._frequency_cache = None
@@ -429,13 +430,12 @@ class SampleStore:
     def _condition_caches(self, index: int, approved: bool) -> None:
         """Apply the Ω*-partition of one assertion to the cached matrices.
 
-        Keeps the matrix rows (and the float view) aligned with the filtered
-        ``_sample_masks`` — the view-maintenance counterpart of the mask
-        filter in :meth:`record_assertion`.
+        Keeps the matrix rows aligned with the filtered ``_sample_masks`` —
+        the view-maintenance counterpart of the mask filter in
+        :meth:`record_assertion`.
         """
         matrix = self._matrix_cache
         if matrix is None:
-            self._matrix_float_cache = None
             return
         column = matrix[:, index]
         keep = column if approved else ~column
@@ -444,11 +444,6 @@ class SampleStore:
         matrix = matrix[keep]
         matrix.setflags(write=False)
         self._matrix_cache = matrix
-        fmatrix = self._matrix_float_cache
-        if fmatrix is not None:
-            fmatrix = fmatrix[keep]
-            fmatrix.setflags(write=False)
-            self._matrix_float_cache = fmatrix
 
     def _append_cached_rows(self, start: int) -> None:
         """Append membership rows for masks discovered by a top-up."""
@@ -459,11 +454,6 @@ class SampleStore:
         matrix = np.vstack((matrix, fresh))
         matrix.setflags(write=False)
         self._matrix_cache = matrix
-        fmatrix = self._matrix_float_cache
-        if fmatrix is not None:
-            fmatrix = np.vstack((fmatrix, fresh.astype(np.float64)))
-            fmatrix.setflags(write=False)
-            self._matrix_float_cache = fmatrix
 
     def _merge(self, fresh: Sequence[int]) -> int:
         """Union new sample masks into the store; return how many were new."""
@@ -605,16 +595,6 @@ class SampleStore:
             matrix.setflags(write=False)
             self._matrix_cache = matrix
         return self._matrix_cache
-
-    def matrix_float(self) -> np.ndarray:
-        """The membership matrix as float64 — the dtype the vectorised
-        information-gain reductions consume, cached so the per-assertion
-        selection loop does not re-materialise an S×|C| array per call."""
-        if self._matrix_float_cache is None:
-            matrix = self.matrix().astype(np.float64)
-            matrix.setflags(write=False)
-            self._matrix_float_cache = matrix
-        return self._matrix_float_cache
 
     def counts(self) -> np.ndarray:
         """Per-candidate sample counts over Ω* (int64, frozen, cached)."""

@@ -126,12 +126,12 @@ def _sample_factors(
     A sharded estimator's factors are its shards (its violation-free
     candidates are certain); an unsharded store is one factor over all
     ``width`` columns.  Each factor pairs its global columns with its
-    cached float64 membership matrix.
+    cached boolean membership matrix.
     """
     components = getattr(estimator, "components", None)
     if components is not None:
         return [
-            (np.asarray(indices, dtype=np.intp), store.matrix_float())
+            (np.asarray(indices, dtype=np.intp), store.matrix())
             for indices, store in components()
         ]
     membership_matrix = getattr(estimator, "membership_matrix", None)

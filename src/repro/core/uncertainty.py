@@ -181,13 +181,14 @@ def information_gain_factors(
 
     The space is Ω = ∏ Ω_f × {columns in no factor}.  Each factor is a
     pair: its ascending global columns and its sample-membership matrix
-    (rows = the factor's samples, columns aligned to those globals).  A
+    (rows = the factor's samples, columns aligned to those globals;
+    boolean or 0/1 floats, which give the same gains bit for bit).  A
     column in no factor is certain, and ``width`` is the size of the
     global index.  An unsharded store is one factor holding every column.
 
     Asserting a target conditions its own factor only, so its partition
     counts come from one co-occurrence product ``Mᵀ[targets] @ M`` over
-    that factor: row *t* holds, for each of the factor's columns, the
+    that factor's live columns: row *t* holds, for each of them, the
     number of samples containing both *t* and the column — the positive
     partition (the negative one is its complement against the factor's
     counts).  Every other factor's live columns keep their unconditioned
@@ -209,17 +210,17 @@ def information_gain_factors(
     local = np.zeros(width, dtype=np.intp)
     summaries = []
     for index, (factor_columns, matrix) in enumerate(factors):
-        dense = np.asarray(matrix, dtype=np.float64)  # no copy when f64
-        total = int(dense.shape[0])
+        matrix = np.asarray(matrix)
+        total = int(matrix.shape[0])
         if total == 0:
             return gains  # one empty factor empties the whole space
-        counts = dense.sum(axis=0).astype(np.int64)
+        counts = matrix.sum(axis=0, dtype=np.int64)
         live = np.flatnonzero((counts > 0) & (counts < total))
         entropy[factor_columns[live]] = _entropy_table(total)[counts[live]]
         is_live[factor_columns[live]] = True
         owner[factor_columns] = index
         local[factor_columns] = np.arange(len(factor_columns))
-        summaries.append((factor_columns, dense, total, counts, live))
+        summaries.append((factor_columns, matrix, total, counts, live))
     current_uncertainty = float(entropy.sum())
     live_columns = np.flatnonzero(is_live)
     baseline = entropy[live_columns]
@@ -228,12 +229,15 @@ def information_gain_factors(
     targets = np.flatnonzero(is_live[columns])
     target_owner = owner[columns[targets]]
     for index in np.unique(target_owner).tolist():
-        factor_columns, dense, total, counts, live = summaries[index]
+        factor_columns, matrix, total, counts, live = summaries[index]
         mine = targets[target_owner == index]
         local_targets = local[columns[mine]]
         n_with = counts[local_targets]
+        # Targets are live, so the product runs on the live columns alone;
+        # sums of 0/1 products are exact integers in float64.
+        dense = matrix[:, live].astype(np.float64)
         cooccurrence = (
-            dense[:, local_targets].T @ dense[:, live]
+            dense[:, np.searchsorted(live, local_targets)].T @ dense
         ).astype(np.int64)
         # Where the factor's live columns sit among all live columns; a
         # factor holding every live column (one factor) sums its own

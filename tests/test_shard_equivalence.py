@@ -452,7 +452,7 @@ def _product_matrix(store):
     for shard in store.shards:
         count = len(shard.store)
         inner = rows // (outer * count) if count else 0
-        block = shard.store.matrix_float()
+        block = shard.store.matrix()
         matrix[:, shard.columns] = np.tile(
             np.repeat(block, inner, axis=0), (outer, 1)
         )
@@ -524,7 +524,7 @@ def _per_shard_gains(store, columns):
         if positions:
             targets = np.asarray([local[int(columns[p])] for p in positions])
             gains[positions] = information_gain_array(
-                shard.store.matrix_float(), targets
+                shard.store.matrix(), targets
             )
     return gains
 

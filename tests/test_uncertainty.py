@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     binary_entropy,
@@ -15,6 +18,7 @@ from repro.core import (
     probabilities_from_samples,
     sample_matrix,
 )
+from repro.core.uncertainty import information_gain_factors
 
 
 class TestBinaryEntropy:
@@ -159,3 +163,35 @@ class TestInformationGain:
         )
         actual = conditional_uncertainty(c["c2"], instances, correspondences)
         assert actual == pytest.approx(expected)
+
+
+class TestFactorDtypes:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        n_factors=st.integers(min_value=1, max_value=4),
+        density=st.floats(min_value=0.05, max_value=0.95),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_bool_and_float_matrices_give_identical_gains(
+        self, seed, n_factors, density
+    ):
+        """The reduction reads a boolean membership matrix as it reads its
+        float64 copy: every gain is the same float, byte for byte."""
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(n_factors, 40))
+        owners = rng.integers(0, n_factors + 1, width)  # n_factors: certain
+        factors = []
+        for factor in range(n_factors):
+            columns = np.flatnonzero(owners == factor)
+            rows = int(rng.integers(1, 60))
+            factors.append(
+                (columns, rng.random((rows, len(columns))) < density)
+            )
+        targets = rng.permutation(width)[: int(rng.integers(1, width + 1))]
+        as_bool = information_gain_factors(factors, width, targets)
+        as_float = information_gain_factors(
+            [(columns, m.astype(np.float64)) for columns, m in factors],
+            width,
+            targets,
+        )
+        assert as_bool.tobytes() == as_float.tobytes()

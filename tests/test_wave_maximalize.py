@@ -9,9 +9,11 @@ Three layers pin ``wave_maximalize_batch`` to the scalar reference:
 2. **Fixed-priority parity** — for an explicit priority matrix the result
    must equal the sequential greedy scan in increasing-priority order
    (ties: lower index first), instance by instance.  This is the exactness
-   claim the wave schedule rests on.  It is checked on random networks and
-   on a real-corpus network with pair and triangle violations, at batch
-   sizes on both sides of the kernel's 64-emission word boundaries.
+   claim the wave schedule rests on.  It is checked on random networks, on
+   random networks whose cycle constraint reaches length 5 (violations of
+   4 and 5 members, so blocking rows wider than two co-members), and on a
+   real-corpus network with pair and triangle violations, at batch sizes
+   on both sides of the kernel's 64-emission word boundaries.
 3. **Emission invariants** (property-based) — every emitted instance is
    consistent (violation-free) and maximal modulo the disapproved set, on
    random networks and random walk states, for random priorities.
@@ -35,7 +37,7 @@ from repro.core import (
     correspondence,
     wave_maximalize_batch,
 )
-from repro.core.constraints import mask_indices
+from repro.core.constraints import default_constraints, mask_indices
 from repro.core.repair import greedy_maximalize_mask
 from repro.experiments.harness import build_fixture
 
@@ -64,6 +66,30 @@ def random_networks(draw):
                     if draw(st.booleans()):
                         correspondences.add(correspondence(left_attr, right_attr))
     return MatchingNetwork(schemas, sorted(correspondences))
+
+
+def _wide_network(rng: random.Random) -> MatchingNetwork:
+    """3–5 schemas under a cycle constraint of length up to 5, so cycles of
+    4 and 5 schemas become violations of 4 and 5 members."""
+    schemas = [
+        Schema.from_names(f"S{index}", [f"a{j}" for j in range(rng.randint(1, 3))])
+        for index in range(rng.randint(3, 5))
+    ]
+    correspondences = set()
+    for left_index, left in enumerate(schemas):
+        for right in schemas[left_index + 1 :]:
+            for left_attr in left:
+                for right_attr in right:
+                    if rng.random() < 0.5:
+                        correspondences.add(correspondence(left_attr, right_attr))
+    return MatchingNetwork(
+        schemas,
+        sorted(correspondences),
+        constraints=default_constraints(max_cycle_length=5),
+    )
+
+
+wide_networks = st.builds(_wide_network, st.randoms(use_true_random=False))
 
 
 def _walk_batch(network, seed, count=12, disapprove_first=0):
@@ -169,6 +195,46 @@ class TestFixedPriorityParity:
             wave_maximalize_batch(
                 engine, states, allowed, priorities=priorities
             )
+
+
+class TestWideViolationParity:
+    """Fixed-priority parity where a blocking row has three or four
+    co-members, all of which the per-violation wait rule must settle."""
+
+    @staticmethod
+    def _check_parity(network, seed, count, tied):
+        engine = network.engine
+        states, allowed = _walk_batch(
+            network, seed, count=count, disapprove_first=seed % 3
+        )
+        priorities = np.random.default_rng(seed).random((count, engine.n))
+        if tied:
+            priorities = np.floor(priorities * 3)
+        batched = wave_maximalize_batch(
+            engine, states, allowed, priorities=priorities
+        )
+        for state, row, mask in zip(states, priorities, batched):
+            assert mask == _sequential_priority_scan(engine, state, allowed, row)
+
+    @given(
+        case=wide_networks,
+        seed=st.integers(min_value=0, max_value=2**16),
+        count=st.sampled_from([1, 63, 65, 130]),
+        tied=st.booleans(),
+    )
+    @common_settings
+    def test_matches_priority_order_scan(self, case, seed, count, tied):
+        self._check_parity(case, seed, count, tied)
+
+    def test_pinned_networks_with_four_and_five_member_violations(self):
+        rng = random.Random(0)
+        sizes = set()
+        for seed in range(40):
+            network = _wide_network(rng)
+            sizes |= {len(violation) for violation in network.engine.violations}
+            for count, tied in ((63, seed % 2 == 0), (65, seed % 2 == 1)):
+                self._check_parity(network, seed, count, tied)
+        assert {4, 5} <= sizes
 
 
 _WEBFORM: dict = {}
