@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI entrypoint: byte-compile the package, import/dead-store lint,
-# the fast test profile, the shard-parity, emission-parity and chaos smokes,
-# the perfbench self-test, then the
+# the fast test profile, the shard-parity, emission-parity, IG-parity and
+# chaos smokes, the perfbench self-test, then the
 # src/repro/{core,crowd,analysis,durability,shard,service} line-coverage
 # floors (stdlib settrace tracer over the deterministic test files — the
 # container ships no coverage.py).
@@ -35,6 +35,15 @@ python -m pytest -q \
 # 5-member violations, across the 64-emission word boundary), re-run
 # standalone so a kernel regression is named in the CI log.
 python -m pytest -q tests/test_wave_maximalize.py -k "Parity"
+# IG parity smoke: the gain reduction (cached counts, float32 product, one
+# entropy-table gather) must equal a copy of the float64 per-size-loop
+# reduction byte for byte, and the store's compact conflicted-column factor
+# must give the full-width matrix's gains over a 60-step session on the
+# reference network — re-run standalone so a gain regression is named in
+# the CI log.
+python -m pytest -q \
+    "tests/test_uncertainty.py::TestInformationGainParity::test_gains_equal_reference_reduction" \
+    "tests/test_uncertainty.py::TestInformationGainParity::test_compact_factor_matches_full_matrix_over_session"
 # Durability: crash at every round boundary of a seeded crowd run, recover
 # from checkpoint + journal, require a bit-identical final trace.
 python scripts/chaos_smoke.py

@@ -177,8 +177,9 @@ class SampledEstimator(ProbabilityEstimator):
         return self.store.sample_masks
 
     def membership_matrix(self):
-        """The store's cached boolean sample-membership matrix (the array
-        the information-gain reductions consume directly)."""
+        """The store's full-width boolean sample-membership matrix,
+        decoded on demand (information-gain selection reads the store's
+        compact matrix and counts directly)."""
         return self.store.matrix()
 
     def probabilities(self) -> dict[Correspondence, float]:

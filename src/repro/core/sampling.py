@@ -18,10 +18,14 @@ maximalised at once by the priority-wave kernel
 :func:`~repro.core.repair.wave_maximalize_batch` (per-emission random
 priorities, numpy waves in which a candidate waits only on the violations
 that can still complete at its turn) instead of one sequential scan per
-instance.  The store keeps Ω* as a list of masks (plus a cached boolean
-membership matrix, the one array the frequency and information-gain
-reductions read) and converts to frozensets only at the public ``samples``
-boundary.
+instance.  The store keeps Ω* as a list of masks plus a cached boolean
+membership matrix over the engine's *conflicted* columns — the one array
+the frequency and information-gain reductions read — and converts to
+frozensets only at the public ``samples`` boundary.  The violation-free
+columns need no storage: every emission ORs in ``allowed &
+violation_free_mask``, and disapproving a free candidate drops every
+sample holding it, so each free column is constant over Ω* (in every
+sample unless the candidate is in F⁻).
 
 Two notes on fidelity to the paper:
 
@@ -264,8 +268,15 @@ class SampleStore:
     ``min_samples`` marks the store exhausted (Ω* = Ω) per Section III-B.
 
     Samples are stored as engine bitmasks; ``samples`` converts to
-    frozensets (cached), ``matrix`` exposes the boolean membership matrix
-    that the frequency and information-gain reductions run on.
+    frozensets (cached), ``compact_matrix`` exposes the boolean membership
+    matrix that the frequency and information-gain reductions run on.  It
+    holds only the engine's conflicted columns (``conflicted_columns``):
+    a violation-free column is constant over Ω* (every emission ORs in
+    ``allowed & violation_free_mask``, and a disapproval of a free
+    candidate drops every sample), so ``counts`` fills it from one sample
+    and the full-width ``matrix`` is decoded on demand at the boundary.
+    When every column is conflicted (a shard's component engine) the
+    compact matrix *is* the full one.
 
     **The Ω*-conditioning invariant.**  The numpy caches (membership matrix,
     counts, probability vector) are *views over Ω**: row *i*
@@ -276,7 +287,8 @@ class SampleStore:
     maintained by applying the *same* partition to their rows (and appending
     rows for top-up discoveries) rather than being torn down and re-derived,
     so ``record_assertion`` costs one boolean row-filter instead of a full
-    rebuild; ``version`` increments on every mutation so downstream caches
+    rebuild (a free candidate keeps every row or none, since its column is
+    constant); ``version`` increments on every mutation so downstream caches
     (e.g. the probabilistic network's folded vector) can validate cheaply.
 
     **The wave/priority invariant.**  Every instance a refill adds to Ω* is
@@ -315,7 +327,9 @@ class SampleStore:
         self._exhausted = False
         self.version = 0
         self._samples_cache: Optional[tuple[frozenset[Correspondence], ...]] = None
+        self._columns: Optional[np.ndarray] = None
         self._matrix_cache: Optional[np.ndarray] = None
+        self._compact_counts_cache: Optional[np.ndarray] = None
         self._counts_cache: Optional[np.ndarray] = None
         self._prob_vector_cache: Optional[np.ndarray] = None
         self._frequency_cache: Optional[Mapping[Correspondence, float]] = None
@@ -363,7 +377,9 @@ class SampleStore:
         store._exhausted = bool(state["exhausted"])
         store.version = int(state["version"])
         store._samples_cache = None
+        store._columns = None
         store._matrix_cache = None
+        store._compact_counts_cache = None
         store._counts_cache = None
         store._prob_vector_cache = None
         store._frequency_cache = None
@@ -407,41 +423,67 @@ class SampleStore:
         self._invalidate()
 
     def _invalidate(self) -> None:
-        self.version += 1
-        self._samples_cache = None
         self._matrix_cache = None
-        self._counts_cache = None
-        self._prob_vector_cache = None
-        self._frequency_cache = None
+        self._invalidate_derived()
 
     def _invalidate_derived(self) -> None:
         """Drop the summaries re-derived from the (maintained) matrix."""
         self.version += 1
         self._samples_cache = None
+        self._compact_counts_cache = None
         self._counts_cache = None
         self._prob_vector_cache = None
         self._frequency_cache = None
 
+    def conflicted_columns(self) -> np.ndarray:
+        """Ascending engine indices of the conflicted candidates: the
+        columns of :meth:`compact_matrix` (frozen, cached)."""
+        if self._columns is None:
+            engine = self.network.engine
+            columns = np.flatnonzero(
+                engine.selection_array(engine.conflicted_mask)[:-1]
+            )
+            columns.setflags(write=False)
+            self._columns = columns
+        return self._columns
+
+    def _full_width(self) -> bool:
+        """Whether every column is conflicted (compact = full width)."""
+        engine = self.network.engine
+        return engine.conflicted_count == engine.n
+
     def _rows_for(self, masks: Sequence[int]) -> np.ndarray:
-        """Boolean membership rows for the given sample masks (the engine's
-        batched mask decode, shared with the wave maximaliser)."""
-        return self.network.engine.selection_matrix(masks)
+        """Compact membership rows for the given sample masks (the engine's
+        batched mask decode, shared with the wave maximaliser, restricted
+        to the conflicted columns)."""
+        rows = self.network.engine.selection_matrix(masks)
+        if self._full_width():
+            return rows
+        return rows[:, self.conflicted_columns()]
 
     def _condition_caches(self, index: int, approved: bool) -> None:
-        """Apply the Ω*-partition of one assertion to the cached matrices.
+        """Apply the Ω*-partition of one assertion to the cached matrix.
 
         Keeps the matrix rows aligned with the filtered ``_sample_masks`` —
         the view-maintenance counterpart of the mask filter in
         :meth:`record_assertion`.
         """
         matrix = self._matrix_cache
-        if matrix is None:
+        if matrix is None or len(matrix) == len(self._sample_masks):
             return
-        column = matrix[:, index]
-        keep = column if approved else ~column
-        if keep.all():
-            return
-        matrix = matrix[keep]
+        position = index
+        if not self._full_width():
+            columns = self.conflicted_columns()
+            position = int(np.searchsorted(columns, index))
+            if position == len(columns) or columns[position] != index:
+                # A violation-free column is constant over Ω*: a partition
+                # that dropped any row dropped them all.
+                position = None
+        if position is None:
+            matrix = matrix[:0]
+        else:
+            column = matrix[:, position]
+            matrix = matrix[column if approved else ~column]
         matrix.setflags(write=False)
         self._matrix_cache = matrix
 
@@ -582,11 +624,13 @@ class SampleStore:
         self._append_cached_rows(start)
         self._invalidate_derived()
 
-    def matrix(self) -> np.ndarray:
-        """Boolean membership matrix: rows = samples, columns = candidates.
+    def compact_matrix(self) -> np.ndarray:
+        """Boolean membership matrix: rows = samples, columns =
+        :meth:`conflicted_columns`.
 
-        Cached between mutations; the information-gain ranking consumes it
-        directly instead of re-densifying frozensets per selection step.
+        Cached between mutations; the frequency and information-gain
+        reductions consume it directly instead of re-densifying frozensets
+        per selection step.
         """
         if self._matrix_cache is None:
             matrix = self._rows_for(self._sample_masks)
@@ -596,11 +640,43 @@ class SampleStore:
             self._matrix_cache = matrix
         return self._matrix_cache
 
+    def compact_counts(self) -> np.ndarray:
+        """Sample counts of the :meth:`conflicted_columns` (int64, frozen,
+        cached)."""
+        if self._compact_counts_cache is None:
+            counts = self.compact_matrix().sum(axis=0, dtype=np.int64)
+            counts.setflags(write=False)
+            self._compact_counts_cache = counts
+        return self._compact_counts_cache
+
+    def matrix(self) -> np.ndarray:
+        """Boolean membership matrix: rows = samples, columns = candidates.
+
+        The full-width boundary view, decoded from the masks per call
+        (frozen); when every column is conflicted it is the cached
+        :meth:`compact_matrix`.
+        """
+        if self._full_width():
+            return self.compact_matrix()
+        matrix = self.network.engine.selection_matrix(self._sample_masks)
+        matrix.setflags(write=False)
+        return matrix
+
     def counts(self) -> np.ndarray:
         """Per-candidate sample counts over Ω* (int64, frozen, cached)."""
         if self._counts_cache is None:
-            counts = self.matrix().sum(axis=0, dtype=np.int64)
-            counts.setflags(write=False)
+            compact = self.compact_counts()
+            if self._full_width():
+                counts = compact
+            else:
+                engine = self.network.engine
+                counts = np.zeros(engine.n, dtype=np.int64)
+                if self._sample_masks:
+                    # Every violation-free column holds one sample's value.
+                    first = engine.selection_array(self._sample_masks[0])
+                    counts[first[:-1]] = len(self._sample_masks)
+                    counts[self.conflicted_columns()] = compact
+                counts.setflags(write=False)
             self._counts_cache = counts
         return self._counts_cache
 

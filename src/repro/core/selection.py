@@ -34,6 +34,7 @@ import numpy as np
 
 from .correspondence import Correspondence
 from .probability import ProbabilisticNetwork
+from .sampling import SampleStore
 from .uncertainty import binary_entropy_cached, information_gain_factors
 
 
@@ -118,30 +119,42 @@ class RandomSelection(SelectionStrategy):
         return _random_unasserted(pnet, self.rng)
 
 
+def _store_factor(
+    columns: np.ndarray, store: SampleStore
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One information-gain factor: a store's conflicted columns (mapped
+    through ``columns``, the global index of each store column), its
+    compact membership matrix and its cached counts."""
+    local = store.conflicted_columns()
+    if len(local) < len(columns):
+        columns = columns[local]
+    return columns, store.compact_matrix(), store.compact_counts()
+
+
 def _sample_factors(
     estimator, width: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The independent factors of a sampling estimator's instance space.
 
     A sharded estimator's factors are its shards (its violation-free
-    candidates are certain); an unsharded store is one factor over all
-    ``width`` columns.  Each factor pairs its global columns with its
-    cached boolean membership matrix.
+    candidates are certain); an unsharded store is one factor over its
+    conflicted columns, since its violation-free columns are constant
+    over Ω*.  Each factor is a store's :func:`_store_factor`.
     """
     components = getattr(estimator, "components", None)
     if components is not None:
         return [
-            (np.asarray(indices, dtype=np.intp), store.matrix())
+            _store_factor(np.asarray(indices, dtype=np.intp), store)
             for indices, store in components()
         ]
-    membership_matrix = getattr(estimator, "membership_matrix", None)
-    if membership_matrix is None:
+    store = getattr(estimator, "store", None)
+    if not isinstance(store, SampleStore):
         raise TypeError(
             "information-gain selection needs a sampling estimator "
             "(SampledEstimator or ShardedEstimator); use "
             "EntropySelection with exact estimators instead"
         )
-    return [(np.arange(width), membership_matrix())]
+    return [_store_factor(np.arange(width), store)]
 
 
 class InformationGainSelection(SelectionStrategy):
@@ -182,9 +195,10 @@ class InformationGainSelection(SelectionStrategy):
                 range(len(columns)), key=entropies.__getitem__, reverse=True
             )[: self.max_candidates]
             columns = columns[order]
-        # One batched gain reduction over the stores' cached float matrices
-        # — the same core information_gains funnels through, so the floats
-        # (and tie sets) match the mapping API bit-for-bit.
+        # One batched gain reduction over the stores' cached compact
+        # matrices and counts — the same core information_gains funnels
+        # through, so the floats (and tie sets) match the mapping API
+        # bit-for-bit.
         return columns, information_gain_factors(factors, width, columns)
 
     select = SelectionStrategy.select

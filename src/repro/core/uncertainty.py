@@ -173,29 +173,39 @@ def _entropy_table(denominator: int) -> np.ndarray:
 
 
 def information_gain_factors(
-    factors: Sequence[tuple[np.ndarray, np.ndarray]],
+    factors: Sequence[tuple],
     width: int,
     columns: np.ndarray,
 ) -> np.ndarray:
     """Batched IG for the target ``columns`` of a factorised instance space.
 
     The space is Ω = ∏ Ω_f × {columns in no factor}.  Each factor is a
-    pair: its ascending global columns and its sample-membership matrix
-    (rows = the factor's samples, columns aligned to those globals;
-    boolean or 0/1 floats, which give the same gains bit for bit).  A
-    column in no factor is certain, and ``width`` is the size of the
-    global index.  An unsharded store is one factor holding every column.
+    tuple ``(columns, matrix[, counts])``: its ascending global columns,
+    its sample-membership matrix (rows = the factor's samples, columns
+    aligned to those globals; boolean or 0/1 floats, which give the same
+    gains bit for bit) and optionally its per-column sample counts (int64,
+    e.g. :meth:`~repro.core.sampling.SampleStore.compact_counts`), which
+    are otherwise recounted from the matrix.  A column in no factor is
+    certain, and ``width`` is the size of the global index.  An unsharded
+    store is one factor over its conflicted columns: its free columns are
+    constant over Ω*, hence certain.
 
     Asserting a target conditions its own factor only, so its partition
     counts come from one co-occurrence product ``Mᵀ[targets] @ M`` over
     that factor's live columns: row *t* holds, for each of them, the
     number of samples containing both *t* and the column — the positive
     partition (the negative one is its complement against the factor's
-    counts).  Every other factor's live columns keep their unconditioned
-    entropies.  Each H⁺ and H⁻ row is summed whole over all live columns
-    in ascending order, and every frequency is the same rational
-    ``k/d`` as in the ∏|Ω_f|-row product matrix, so the gains are the
-    floats that matrix would give without ever building it.
+    counts).  The product runs in float32 when the factor has fewer than
+    2²⁴ rows: every partial sum is an integer no larger than the row
+    count, so it is exact in either precision.  Each side's entropies are
+    gathered in one take through a table with one row per distinct
+    partition size of the call, ``H_b(k/size)`` for k = 0..|Ω*_f|
+    (:func:`_entropy_table` rows, zero-padded) — bounded by the distinct
+    sizes, not by (|Ω*_f|+1)².  Every other factor's live columns keep
+    their unconditioned entropies.  Each H⁺ and H⁻ row is summed whole
+    over all live columns in ascending order, and every frequency is the
+    same rational ``k/d`` as in the ∏|Ω_f|-row product matrix, so the
+    gains are the floats that matrix would give without ever building it.
     """
     columns = np.asarray(columns, dtype=np.intp)
     gains = np.zeros(len(columns), dtype=np.float64)
@@ -209,12 +219,12 @@ def information_gain_factors(
     owner = np.zeros(width, dtype=np.intp)
     local = np.zeros(width, dtype=np.intp)
     summaries = []
-    for index, (factor_columns, matrix) in enumerate(factors):
+    for index, (factor_columns, matrix, *cached) in enumerate(factors):
         matrix = np.asarray(matrix)
         total = int(matrix.shape[0])
         if total == 0:
             return gains  # one empty factor empties the whole space
-        counts = matrix.sum(axis=0, dtype=np.int64)
+        counts = cached[0] if cached else matrix.sum(axis=0, dtype=np.int64)
         live = np.flatnonzero((counts > 0) & (counts < total))
         entropy[factor_columns[live]] = _entropy_table(total)[counts[live]]
         is_live[factor_columns[live]] = True
@@ -233,33 +243,37 @@ def information_gain_factors(
         mine = targets[target_owner == index]
         local_targets = local[columns[mine]]
         n_with = counts[local_targets]
-        # Targets are live, so the product runs on the live columns alone;
-        # sums of 0/1 products are exact integers in float64.
-        dense = matrix[:, live].astype(np.float64)
-        cooccurrence = (
-            dense[:, np.searchsorted(live, local_targets)].T @ dense
-        ).astype(np.int64)
+        # Targets are live, so the product runs on the live columns alone.
+        dense = matrix[:, live].astype(
+            np.float32 if total < 1 << 24 else np.float64
+        )
+        positions = np.searchsorted(live, local_targets)
+        plus = (dense[:, positions].T @ dense).astype(np.intp)
+        # One zero-padded table row per distinct partition size; each side
+        # reads it through flat indices, row offset + count.
+        sizes = np.unique(np.concatenate((n_with, total - n_with)))
+        table = np.zeros((len(sizes), total + 1), dtype=np.float64)
+        for row, size in enumerate(sizes.tolist()):
+            table[row, : size + 1] = _entropy_table(size)
+        table = table.ravel()
+        minus = counts[live] + (
+            np.searchsorted(sizes, total - n_with) * (total + 1)
+        )[:, None]
+        minus -= plus
+        plus += (np.searchsorted(sizes, n_with) * (total + 1))[:, None]
         # Where the factor's live columns sit among all live columns; a
         # factor holding every live column (one factor) sums its own
         # conditioned entropies directly, any other fills the rest of each
         # row with the other factors' unconditioned entropies.
         slots = np.searchsorted(live_columns, factor_columns[live])
-        sides = (
-            (cooccurrence, n_with),
-            (counts[live][None, :] - cooccurrence, total - n_with),
-        )
         entropies = []
-        for hits, sizes in sides:
-            side = np.empty(len(mine), dtype=np.float64)
-            for size in np.unique(sizes).tolist():
-                group = np.flatnonzero(sizes == size)
-                block = _entropy_table(size)[hits[group]]
-                if len(slots) < len(live_columns):
-                    whole = np.tile(baseline, (len(group), 1))
-                    whole[:, slots] = block
-                    block = whole
-                side[group] = block.sum(axis=1)
-            entropies.append(side)
+        for flat in (plus, minus):
+            block = np.take(table, flat)
+            if len(slots) < len(live_columns):
+                whole = np.tile(baseline, (len(mine), 1))
+                whole[:, slots] = block
+                block = whole
+            entropies.append(block.sum(axis=1))
         p = n_with / total
         conditional = p * entropies[0] + (1.0 - p) * entropies[1]
         gains[mine] = np.maximum(0.0, current_uncertainty - conditional)

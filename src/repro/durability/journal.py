@@ -19,7 +19,9 @@ compared against the corresponding journaled record —
 :class:`JournalReplayError` on any divergence — instead of being rewritten.
 This is what makes crash recovery bit-identical to the uninterrupted run:
 restored workers re-draw the same answers from the same RNG positions, and
-the journal proves it.
+the journal proves it.  A journaled delta is compared with its document's
+supported format ``version`` set aside, so a delta committed under an
+older format redoes under the current one.
 """
 
 from __future__ import annotations
@@ -62,6 +64,26 @@ class CorruptJournalError(FormatError):
         )
         self.line = line
         self.last_seq = last_seq
+
+
+def _replay_form(record: dict) -> dict:
+    """A record as replay verification compares it.
+
+    A ``delta`` record embeds its document's format ``version``, and the
+    redo re-encodes the delta under the current ``FORMAT_VERSION``; so a
+    committed delta written before a format bump would never match.  Any
+    supported version is set aside — the document's content still has to
+    match in full.
+    """
+    document = record.get("delta")
+    if (
+        record.get("type") == "delta"
+        and isinstance(document, dict)
+        and document.get("version") in SUPPORTED_VERSIONS
+    ):
+        document = {k: v for k, v in document.items() if k != "version"}
+        return {**record, "delta": document}
+    return record
 
 
 class FeedbackJournal:
@@ -120,7 +142,7 @@ class FeedbackJournal:
         if self._expected:
             expected = self._expected.popleft()
             stamped = {"seq": expected.get("seq"), **record}
-            if stamped != expected:
+            if _replay_form(stamped) != _replay_form(expected):
                 raise JournalReplayError(
                     "re-executed record diverged from the journal: "
                     f"expected {expected!r}, got {stamped!r}"

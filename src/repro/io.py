@@ -197,11 +197,14 @@ def network_from_dict(document: dict) -> MatchingNetwork:
 def delta_to_dict(delta) -> dict:
     """Serialise a :class:`~repro.core.delta.NetworkDelta`.
 
-    The representation is replay-stable: ``delta_to_dict(delta_from_dict(d,
-    network)) == d`` for any document this function produced, which is what
+    The representation is replay-stable up to its version stamp:
+    ``delta_to_dict(delta_from_dict(d, network))`` equals ``d`` except for
+    ``"version"``, which is always ``FORMAT_VERSION`` — so only documents
+    written under the current format round-trip verbatim.  That is what
     lets crash recovery re-execute a journaled delta under replay
-    verification (the re-appended record must equal the journaled one).
-    The ``rescore`` key is emitted only when non-empty, so documents (and
+    verification: the journal compares a re-appended delta record with
+    the journaled one, setting aside a supported ``version``.  The
+    ``rescore`` key is emitted only when non-empty, so documents (and
     journal records) written before rescores existed round-trip
     unchanged.
     """

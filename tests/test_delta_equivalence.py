@@ -40,7 +40,7 @@ from repro.experiments.scenarios import (
     build_session,
     make_strategy,
 )
-from repro.io import delta_to_dict
+from repro.io import FORMAT_VERSION, delta_to_dict
 from repro.shard import ShardedEstimator
 
 #: Same enumerable reference fixture as test_shard_equivalence: |Ω| = 180,
@@ -307,6 +307,49 @@ class TestCrashAtDeltaRecovery:
             == golden.pnet.probability_vector().tobytes()
         )
         assert recovered.uncertainty() == golden.uncertainty()
+
+    def test_delta_journaled_under_older_format_redoes(
+        self, tmp_path, fixture, delta
+    ):
+        """A committed delta record written under format 3 still redoes
+        under the current format: replay compares the re-encoded delta
+        with its version stamp set aside."""
+        spec = _spec("likelihood", 3)
+
+        golden = build_session(fixture, spec)
+        golden_dir = tmp_path / "golden"
+        run_durable(golden, golden_dir, budget=4)
+        golden.apply_delta(delta)
+        run_durable(golden, golden_dir, budget=12)
+
+        crashed = build_session(fixture, spec)
+        crash_dir = tmp_path / "crashed"
+        run_durable(crashed, crash_dir, budget=4)
+        crashed.apply_delta(delta)
+        journal = crash_dir / "journal.jsonl"
+        lines = journal.read_text().splitlines()
+        stamped = 0
+        for position, line in enumerate(lines):
+            record = json.loads(line)
+            if record.get("type") == "delta":
+                assert record["delta"]["version"] == FORMAT_VERSION != 3
+                record["delta"]["version"] = 3
+                lines[position] = json.dumps(record, sort_keys=True)
+                stamped += 1
+        assert stamped == 1
+        journal.write_text("\n".join(lines) + "\n")
+
+        recovered, report = recover(crash_dir)
+        assert report.transactions_redone == 1
+        assert recovered.deltas_applied == 1
+        run_durable(recovered, crash_dir, budget=12)
+        assert _expert_trace_tuple(recovered.trace) == _expert_trace_tuple(
+            golden.trace
+        )
+        assert (
+            recovered.pnet.probability_vector().tobytes()
+            == golden.pnet.probability_vector().tobytes()
+        )
 
     def test_torn_delta_is_discarded(self, tmp_path, fixture, delta):
         spec = _spec("likelihood", 3)

@@ -249,6 +249,35 @@ class TestJournal:
         with pytest.raises(JournalReplayError, match="diverged"):
             resumed.append({"type": "question", "x": 2})
 
+    @pytest.mark.parametrize(
+        "journaled, matches",
+        [
+            ({"version": 3, "add_schemas": []}, True),
+            ({"version": 99, "add_schemas": []}, False),
+            ({"version": 3, "add_schemas": ["SX"]}, False),
+        ],
+    )
+    def test_replay_sets_aside_a_supported_delta_version(
+        self, tmp_path, journaled, matches
+    ):
+        """A delta journaled under an older supported format matches its
+        re-encoding; an unsupported version or other content does not."""
+        path = tmp_path / "journal.jsonl"
+        journal = FeedbackJournal.create(path, "expert")
+        journal.append({"type": "delta", "delta": journaled})
+        _, _, tail = read_journal(path)
+        resumed = FeedbackJournal.resume(path, next_seq=2)
+        resumed.expect(tail)
+        redo = {
+            "type": "delta",
+            "delta": {"version": FORMAT_VERSION, "add_schemas": []},
+        }
+        if matches:
+            assert resumed.append(redo) == 1
+        else:
+            with pytest.raises(JournalReplayError, match="diverged"):
+                resumed.append(redo)
+
     def test_mid_file_damage_is_not_a_torn_tail(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         journal = FeedbackJournal.create(path, "expert")

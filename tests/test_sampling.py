@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,12 @@ from repro.core import (
     is_matching_instance,
     symmetric_difference_size,
 )
+from repro.core import NetworkDelta, ProbabilisticNetwork
 from repro.core import sampling as sampling_module
+from repro.core.constraints import mask_indices
+from repro.experiments.churn import make_churn_delta
+from repro.experiments.harness import synthetic_network
+from repro.shard import ShardedSampleStore
 
 
 class TestSymmetricDifference:
@@ -374,3 +380,102 @@ class TestSampleStore:
             for i in enumerate_instances(movie_network, store.feedback)
         }
         assert not (before & set(store.samples))
+
+
+def _assert_compact_store(store):
+    """The store's views equal the column sums of its masks' full rows,
+    and the cached matrix is those rows on the conflicted columns."""
+    engine = store.network.engine
+    full = engine.selection_matrix(store.sample_masks)
+    sums = full.sum(axis=0, dtype=np.int64)
+    columns = store.conflicted_columns()
+    assert columns.tolist() == mask_indices(engine.conflicted_mask)
+    assert np.array_equal(store.compact_matrix(), full[:, columns])
+    assert store.compact_counts().tobytes() == sums[columns].tobytes()
+    assert store.counts().tobytes() == sums.tobytes()
+    expected = sums / float(len(store)) if len(store) else sums * 0.0
+    assert store.probability_vector().tobytes() == expected.tobytes()
+    matrix = store.matrix()
+    assert matrix.shape == full.shape and np.array_equal(matrix, full)
+
+
+class TestCompactStore:
+    """The store caches Ω* on the conflicted columns only; the free
+    columns are constant, so every full-width view is exact."""
+
+    def _pnet(self):
+        network = synthetic_network(
+            80, n_schemas=8, attributes_per_schema=12, seed=3
+        )
+        assert 0 < network.engine.conflicted_count < network.engine.n
+        return ProbabilisticNetwork(
+            network, target_samples=40, rng=random.Random(5)
+        )
+
+    def test_views_through_feedback_refills_and_restores(self):
+        pnet = self._pnet()
+        store = pnet.estimator.store
+        engine = pnet.network.engine
+        _assert_compact_store(store)
+        # Approvals from one instance stay consistent with each other.
+        instance = store.sample_masks[0]
+        approved = [
+            i for i in mask_indices(instance & engine.conflicted_mask)
+        ][:3]
+        for index in approved:
+            pnet.record_assertion(pnet.correspondences[index], True)
+            _assert_compact_store(store)
+        rejected = mask_indices(engine.conflicted_mask & ~instance)[:2]
+        for index in rejected:
+            pnet.record_assertion(pnet.correspondences[index], False)
+            _assert_compact_store(store)
+        # A violation-free candidate is in every sample: disapproving it
+        # empties Ω*, and the top-up refills it.
+        free = mask_indices(engine.violation_free_mask)[0]
+        emptied = set(store.sample_masks)
+        pnet.record_assertion(pnet.correspondences[free], False)
+        assert not emptied & set(store.sample_masks)
+        assert len(store) >= store.min_samples
+        assert store.counts()[free] == 0
+        _assert_compact_store(store)
+        pnet.retract_approval(pnet.correspondences[approved[0]])
+        _assert_compact_store(store)
+        restored = sampling_module.SampleStore.from_state(
+            pnet.network, store.sampler, store.get_state()
+        )
+        _assert_compact_store(restored)
+
+    def test_views_across_deltas(self):
+        pnet = self._pnet()
+        store = pnet.estimator.store
+        _assert_compact_store(store)
+        corr = pnet.correspondences[0]
+        rescored = pnet.network.apply_delta(NetworkDelta(rescore=((corr, 0.125),)))
+        pnet.apply_delta(rescored)
+        assert pnet.estimator.store is store
+        _assert_compact_store(store)
+        structural = pnet.network.apply_delta(
+            make_churn_delta(pnet.network, 0.2, random.Random(7))
+        )
+        pnet.apply_delta(structural)
+        store = pnet.estimator.store
+        assert 0 < store.network.engine.conflicted_count < store.network.engine.n
+        _assert_compact_store(store)
+        free = mask_indices(store.network.engine.violation_free_mask)[0]
+        pnet.record_assertion(pnet.correspondences[free], False)
+        _assert_compact_store(store)
+
+    def test_shard_stores_keep_the_full_matrix(self):
+        """A shard's component engine has every column conflicted: the
+        compact matrix is the full one, with no column take."""
+        network = synthetic_network(
+            80, n_schemas=8, attributes_per_schema=12, seed=3
+        )
+        sharded = ShardedSampleStore(
+            network, rng=random.Random(1), target_samples=64
+        )
+        for shard in sharded.shards:
+            shard_store = shard.store
+            assert shard_store.matrix() is shard_store.compact_matrix()
+            assert shard_store.counts() is shard_store.compact_counts()
+            _assert_compact_store(shard_store)

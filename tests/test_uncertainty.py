@@ -1,13 +1,15 @@
 """Unit tests for entropy and information-gain computation."""
 
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    ProbabilisticNetwork,
     binary_entropy,
     conditional_uncertainty,
     enumerate_instances,
@@ -18,7 +20,13 @@ from repro.core import (
     probabilities_from_samples,
     sample_matrix,
 )
-from repro.core.uncertainty import information_gain_factors
+from repro.core.selection import InformationGainSelection
+from repro.core.uncertainty import (
+    _entropy_table,
+    information_gain_array,
+    information_gain_factors,
+)
+from repro.experiments import synthetic_fixture
 
 
 class TestBinaryEntropy:
@@ -195,3 +203,155 @@ class TestFactorDtypes:
             targets,
         )
         assert as_bool.tobytes() == as_float.tobytes()
+
+
+def _reference_information_gain_factors(factors, width, columns):
+    """The gain reduction before cached counts, the float32 product and
+    the table gather: counts recounted from each matrix, a float64
+    co-occurrence product, and one entropy gather per partition size."""
+    columns = np.asarray(columns, dtype=np.intp)
+    gains = np.zeros(len(columns), dtype=np.float64)
+    if not len(columns):
+        return gains
+    entropy = np.zeros(width, dtype=np.float64)
+    is_live = np.zeros(width, dtype=bool)
+    owner = np.zeros(width, dtype=np.intp)
+    local = np.zeros(width, dtype=np.intp)
+    summaries = []
+    for index, (factor_columns, matrix) in enumerate(factors):
+        matrix = np.asarray(matrix)
+        total = int(matrix.shape[0])
+        if total == 0:
+            return gains
+        counts = matrix.sum(axis=0, dtype=np.int64)
+        live = np.flatnonzero((counts > 0) & (counts < total))
+        entropy[factor_columns[live]] = _entropy_table(total)[counts[live]]
+        is_live[factor_columns[live]] = True
+        owner[factor_columns] = index
+        local[factor_columns] = np.arange(len(factor_columns))
+        summaries.append((factor_columns, matrix, total, counts, live))
+    current_uncertainty = float(entropy.sum())
+    live_columns = np.flatnonzero(is_live)
+    baseline = entropy[live_columns]
+    targets = np.flatnonzero(is_live[columns])
+    target_owner = owner[columns[targets]]
+    for index in np.unique(target_owner).tolist():
+        factor_columns, matrix, total, counts, live = summaries[index]
+        mine = targets[target_owner == index]
+        local_targets = local[columns[mine]]
+        n_with = counts[local_targets]
+        dense = matrix[:, live].astype(np.float64)
+        cooccurrence = (
+            dense[:, np.searchsorted(live, local_targets)].T @ dense
+        ).astype(np.int64)
+        slots = np.searchsorted(live_columns, factor_columns[live])
+        sides = (
+            (cooccurrence, n_with),
+            (counts[live][None, :] - cooccurrence, total - n_with),
+        )
+        entropies = []
+        for hits, sizes in sides:
+            side = np.empty(len(mine), dtype=np.float64)
+            for size in np.unique(sizes).tolist():
+                group = np.flatnonzero(sizes == size)
+                block = _entropy_table(size)[hits[group]]
+                if len(slots) < len(live_columns):
+                    whole = np.tile(baseline, (len(group), 1))
+                    whole[:, slots] = block
+                    block = whole
+                side[group] = block.sum(axis=1)
+            entropies.append(side)
+        p = n_with / total
+        conditional = p * entropies[0] + (1.0 - p) * entropies[1]
+        gains[mine] = np.maximum(0.0, current_uncertainty - conditional)
+    return gains
+
+
+#: Factor row counts: mostly small, some past the 4097 rows an enumerated
+#: shard reaches.
+_ROWS = st.one_of(st.integers(1, 80), st.integers(4090, 4300))
+
+
+class TestInformationGainParity:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        rows=st.lists(_ROWS, min_size=1, max_size=4),
+        as_float=st.booleans(),
+        empty=st.integers(min_value=-4, max_value=3),
+        order=st.sampled_from(["random", "ascending", "all"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(seed=1, rows=[4097], as_float=False, empty=-1, order="all")
+    @example(seed=2, rows=[4200, 7, 1], as_float=True, empty=-1, order="all")
+    @example(seed=3, rows=[30, 12, 4097], as_float=False, empty=1,
+             order="random")
+    def test_gains_equal_reference_reduction(
+        self, seed, rows, as_float, empty, order
+    ):
+        """Cached counts, the float32 product and the table gather give
+        the old reduction's gains byte for byte: one factor and several,
+        bool and 0/1 float64 matrices, targets on certain and
+        constant columns (in random order, ascending, or every column),
+        and a factor emptied by its feedback."""
+        rng = np.random.default_rng(seed)
+        n_factors = len(rows)
+        width = int(rng.integers(n_factors, 48))
+        owners = rng.integers(0, n_factors + 1, width)  # n_factors: certain
+        factors = []
+        for factor, count in enumerate(rows):
+            columns = np.flatnonzero(owners == factor)
+            if factor == empty:
+                count = 0
+            # Per-column densities with some constant columns, which are
+            # never live.
+            density = rng.choice(
+                [0.0, 1.0, 0.5, rng.random()], size=len(columns)
+            )
+            matrix = rng.random((count, len(columns))) < density
+            factors.append(
+                (columns, matrix.astype(np.float64) if as_float else matrix)
+            )
+        targets = rng.permutation(width)[: int(rng.integers(1, width + 1))]
+        if order == "ascending":
+            targets = np.sort(targets)
+        elif order == "all":
+            targets = np.arange(width)
+        expected = _reference_information_gain_factors(factors, width, targets)
+        recounted = information_gain_factors(factors, width, targets)
+        cached = information_gain_factors(
+            [
+                (columns, matrix, matrix.sum(axis=0, dtype=np.int64))
+                for columns, matrix in factors
+            ],
+            width,
+            targets,
+        )
+        assert recounted.tobytes() == expected.tobytes()
+        assert cached.tobytes() == expected.tobytes()
+
+    def test_compact_factor_matches_full_matrix_over_session(self):
+        """On the 1500-candidate reference network (336 conflicted
+        columns), the selection's compact factor gives the full-width
+        matrix's gains, byte for byte, at every one of 60 IG steps."""
+        fixture = synthetic_fixture(
+            n_correspondences=1500,
+            n_schemas=24,
+            attributes_per_schema=150,
+            conflict_bias=0.35,
+            seed=7,
+        )
+        network = fixture.network
+        pnet = ProbabilisticNetwork(
+            network, target_samples=250, rng=random.Random(4)
+        )
+        store = pnet.estimator.store
+        assert len(store.conflicted_columns()) == 336 < network.engine.n
+        strategy = InformationGainSelection(rng=random.Random(5))
+        truth = fixture.ground_truth
+        for _ in range(60):
+            columns, gains = strategy.scores(pnet)
+            assert len(columns) and gains.max() > 0.0
+            expected = information_gain_array(store.matrix(), columns)
+            assert gains.tobytes() == expected.tobytes()
+            corr = strategy.select(pnet)
+            pnet.record_assertion(corr, corr in truth)
