@@ -57,12 +57,52 @@ def _emission_inputs(fixture, n_states: int, seed: int):
     return engine, states, allowed, avail_sets
 
 
+def _sequential_emission(engine, instance, allowed, generator, available):
+    """The pre-wave emission kernel, kept here as the gate's baseline.
+
+    Violation-free candidates go in wholesale; then one numpy permutation
+    (from ``generator``) of the state's conflicted availability set
+    ``available``, and the sequential ``_scan_rows`` check.  This is the
+    sampler's per-instance emission scan from before the wave kernel,
+    verbatim: it draws the same stream and emits the same masks.
+    """
+    cur = instance
+    avail = allowed & ~cur
+    if not avail:
+        return cur
+    free = avail & engine.violation_free_mask
+    if free:
+        cur |= free
+        avail ^= free
+        if not avail:
+            return cur
+    count = len(available)
+    if count > 1:
+        indices = generator.permutation(
+            np.fromiter(available, dtype=np.intp, count=count)
+        ).tolist()
+    else:
+        indices = list(available)
+    scan_rows = engine._scan_rows
+    for bit, partners, large in map(scan_rows.__getitem__, indices):
+        if cur & partners:
+            continue
+        if large:
+            grown = cur | bit
+            for vmask in large:
+                if vmask & grown == vmask:
+                    break
+            else:
+                cur = grown
+            continue
+        cur |= bit
+    return cur
+
+
 def _sequential_emissions(engine, states, allowed, avail_sets, np_rng):
     """The pre-wave emission path: one permutation scan per instance."""
     return [
-        greedy_maximalize_mask(
-            engine, state, allowed, np_rng=np_rng, conflicted_avail=avail
-        )
+        _sequential_emission(engine, state, allowed, np_rng, avail)
         for state, avail in zip(states, avail_sets)
     ]
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI entrypoint: byte-compile the package, import/dead-store lint,
 # the fast test profile, the shard-parity, emission-parity, IG-parity and
-# chaos smokes, the perfbench self-test, then the
+# chaos smokes, every experiment runner at its quick size, the perfbench
+# self-test, then the
 # src/repro/{core,crowd,analysis,durability,shard,service} line-coverage
 # floors (stdlib settrace tracer over the deterministic test files — the
 # container ships no coverage.py).
@@ -47,6 +48,10 @@ python -m pytest -q \
 # Durability: crash at every round boundary of a seeded crowd run, recover
 # from checkpoint + journal, require a bit-identical final trace.
 python scripts/chaos_smoke.py
+# Every experiment runner at its quick size: no test calls the churn, serve
+# or crowd-budget runners, so a runner broken by a change to a layer under
+# it fails here.
+PYTHONPATH=src python -m repro.experiments.cli all --quick > /dev/null
 # Benchmark harness self-test on toy inputs (not in the default testpaths).
 # Its traced runs patch entry points inside src/repro, so a change that
 # removes one fails here rather than in a benchmark run.

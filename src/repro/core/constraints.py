@@ -799,21 +799,17 @@ class ConstraintEngine:
         sel[self.n] = True
         return sel
 
-    def selection_matrix(
-        self, masks: Sequence[int], sentinel: bool = False
-    ) -> np.ndarray:
+    def selection_matrix(self, masks: Sequence[int]) -> np.ndarray:
         """Bool membership rows for a batch of selection masks.
 
         One ``unpackbits`` over the concatenated little-endian byte images —
-        the batched counterpart of :meth:`selection_array`.  With
-        ``sentinel`` the matrix gains an always-True column at index ``n``
-        so padded index rows stay harmless under ``all()`` reductions.
+        the batched counterpart of :meth:`selection_array`, without its
+        sentinel column.
         """
         n = self.n
         count = len(masks)
-        width = n + 1 if sentinel else n
         if not count:
-            return np.zeros((0, width), dtype=bool)
+            return np.zeros((0, n), dtype=bool)
         nbytes = self._nbytes
         buffer = b"".join(m.to_bytes(nbytes, "little") for m in masks)
         bits = np.unpackbits(
@@ -821,12 +817,7 @@ class ConstraintEngine:
             axis=1,
             bitorder="little",
         )
-        if not sentinel:
-            return bits[:, :n].astype(bool)
-        rows = np.empty((count, width), dtype=bool)
-        rows[:, :n] = bits[:, :n]
-        rows[:, n] = True
-        return rows
+        return bits[:, :n].astype(bool)
 
     def wave_tables(self) -> WaveTables:
         """The (cached) CSR violation tables of the wave maximaliser."""

@@ -9,12 +9,13 @@ correspondence and F⁺ members that rule would loop forever, so we fall back
 to removing the added correspondence itself, and raise when even that cannot
 restore consistency (which means F⁺ is contradictory).
 
-Hot-path layout: the real kernels — :func:`repair_mask` and
-:func:`greedy_maximalize_mask` — run entirely in the engine's bitmask index
+Hot-path layout: the real kernels — :func:`repair_mask`,
+:func:`greedy_maximalize_mask` and the batched
+:func:`wave_maximalize_batch` — run entirely in the engine's bitmask index
 space (selections are ints, violations are precompiled masks).  The public
 :func:`repair` / :func:`greedy_maximalize` keep the original frozenset API
-and are thin conversion wrappers; the sampler, the instantiation search and
-the enumerator call the mask kernels directly.
+and are thin conversion wrappers; the sampler and the instantiation search
+call the mask kernels directly.
 
 Deterministic behaviour (``rng=None``) of the kernels is bit-for-bit
 identical to the historical frozenset implementation: the victim of a repair
@@ -205,14 +206,15 @@ def greedy_maximalize_mask(
     instance: int,
     allowed: int,
     rng: Optional[random.Random] = None,
-    np_rng: Optional[np.random.Generator] = None,
-    conflicted_avail: Optional[set] = None,
 ) -> int:
-    """Mask-space greedy maximalisation: the sampler's emission kernel.
+    """Mask-space greedy maximalisation, one instance at a time.
 
     ``allowed`` is the candidate mask minus F⁻.  Candidates are tried in
     random order (insertion order when ``rng`` is None) and added whenever
-    they activate no violation.
+    they activate no violation.  Algorithm 2's search and
+    :func:`greedy_maximalize` run it; the sampler maximalises a whole
+    refill at once with :func:`wave_maximalize_batch`, whose deterministic
+    schedule is this scan with ``rng=None``.
 
     Violation-free candidates — the ones no compiled violation mentions —
     can neither block nor be blocked, so the outcome never depends on where
@@ -223,19 +225,6 @@ def greedy_maximalize_mask(
     discards the candidates already blocked by ``instance`` — blocking is
     monotone, so they could never be added in any order — leaving the exact
     sequential check to the few survivors.
-
-    ``np_rng`` supplies the scan permutation from a numpy generator (a
-    C-level shuffle) instead of the pure-Python Fisher–Yates over ``rng`` —
-    same uniform-permutation distribution, an order of magnitude cheaper for
-    the sampler, which emits thousands of maximalisations per refill.  When
-    both are given, ``np_rng`` wins; when neither is, the scan is the
-    deterministic insertion order.
-
-    ``conflicted_avail`` (only with ``np_rng``) hands over the available
-    conflict-involved indices as a pre-maintained set — the sampler's walk
-    keeps it patched incrementally — skipping the mask-to-indices
-    round-trip here entirely.  It must equal the conflicted part of
-    ``allowed & ~instance``.
     """
     cur = instance
     avail = allowed & ~cur
@@ -247,15 +236,7 @@ def greedy_maximalize_mask(
         avail ^= free
         if not avail:
             return cur
-    if conflicted_avail is not None and np_rng is not None:
-        count = len(conflicted_avail)
-        if count > 1:
-            indices = np_rng.permutation(
-                np.fromiter(conflicted_avail, dtype=np.intp, count=count)
-            ).tolist()
-        else:
-            indices = list(conflicted_avail)
-    elif avail.bit_count() > _PREFILTER_MIN_AVAIL:
+    if avail.bit_count() > _PREFILTER_MIN_AVAIL:
         # Large availability: extract the index list with array ops.  The
         # blocked pre-filter additionally pays off when the *conflicted*
         # part of the selection is dense enough that a good share of the
@@ -270,16 +251,10 @@ def greedy_maximalize_mask(
             survivors = np.flatnonzero(avail_vector & ~engine.blocked_candidates(cur))
         else:
             survivors = np.flatnonzero(avail_vector)
-        if np_rng is not None:
-            indices = np_rng.permutation(survivors).tolist()
-        elif rng is not None:
+        if rng is not None:
             indices = shuffled(survivors.tolist(), rng)
         else:
             indices = survivors.tolist()
-    elif np_rng is not None:
-        indices = np_rng.permutation(
-            np.asarray(mask_indices(avail), dtype=np.intp)
-        ).tolist()
     elif rng is not None:
         indices = shuffled(mask_indices(avail), rng)
     else:
@@ -345,9 +320,10 @@ def wave_maximalize_batch(
     progress.  Priority ties decide the lower index first, mirroring an
     index-ordered scan.  With iid uniform priorities per emission
     (``np_rng``) the induced scan order is a uniform permutation of the
-    conflicted availability — the same emission distribution as the
-    scalar kernel's ``np_rng.permutation`` path, with the whole refill's
-    emissions decided in a handful of array waves.
+    conflicted availability — the same emission distribution as a
+    uniformly shuffled sequential scan (:func:`greedy_maximalize_mask`
+    with an ``rng``), with the whole refill's emissions decided in a
+    handful of array waves.
 
     ``instances`` are walk-state selection masks, all sampled under the same
     ``allowed`` mask (candidates minus F⁻).  ``priorities`` overrides the
@@ -368,7 +344,7 @@ def wave_maximalize_batch(
     tables = engine.wave_tables()
     conflicted = tables.conflicted
     m = len(conflicted)
-    rows = engine.selection_matrix(base, sentinel=False)
+    rows = engine.selection_matrix(base)
     # Everything below runs transposed — (candidates, emissions) — with the
     # emission axis packed into 64-bit words: a wave's boolean algebra over
     # the whole batch is a few word ops per candidate row, and the

@@ -81,11 +81,11 @@ class SelectionStrategy:
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(columns, scores)``: the uncertain candidates and their scores.
 
-        ``columns`` are engine indices in ascending order (unless the
-        strategy filters them), ``scores`` one float64 per column, higher
-        is better.  Only uncertain correspondences (0 < p < 1) are scored:
-        certain ones have zero information gain (Section IV-D).  Both
-        arrays are empty when nothing is uncertain.
+        ``columns`` are engine indices in ascending order, ``scores`` one
+        float64 per column, higher is better.  Only uncertain
+        correspondences (0 < p < 1) are scored: certain ones have zero
+        information gain (Section IV-D).  Both arrays are empty when
+        nothing is uncertain.
         """
         raise NotImplementedError(f"{self.name} selection scores nothing")
 
@@ -161,22 +161,11 @@ class InformationGainSelection(SelectionStrategy):
     """The paper's heuristic: argmax_c IG(c), ties broken at random.
 
     Requires a sampling estimator, since the gains are estimated from the
-    sample multiset.  ``max_candidates`` optionally restricts the ranking to
-    the highest-marginal-entropy candidates to bound per-step cost on very
-    large networks (the ranking is then a two-stage filter; with the default
-    ``None`` every uncertain correspondence is scored, exactly as in the
-    paper).
+    sample multiset.  Every uncertain correspondence is scored, exactly as
+    in the paper.
     """
 
     name = "information-gain"
-
-    def __init__(
-        self,
-        rng: Optional[random.Random] = None,
-        max_candidates: Optional[int] = None,
-    ):
-        super().__init__(rng)
-        self.max_candidates = max_candidates
 
     def scores(
         self, pnet: ProbabilisticNetwork
@@ -186,15 +175,6 @@ class InformationGainSelection(SelectionStrategy):
             return columns, np.empty(0)
         width = len(pnet.correspondences)
         factors = _sample_factors(pnet.estimator, width)
-        if self.max_candidates is not None and len(columns) > self.max_candidates:
-            # Two-stage filter: keep the highest-marginal-entropy targets.
-            # ``sorted`` is stable, so ties keep ascending-index order —
-            # exactly the mapping-based behaviour.
-            entropies = _entropies(pnet, columns).tolist()
-            order = sorted(
-                range(len(columns)), key=entropies.__getitem__, reverse=True
-            )[: self.max_candidates]
-            columns = columns[order]
         # One batched gain reduction over the stores' cached compact
         # matrices and counts — the same core information_gains funnels
         # through, so the floats (and tie sets) match the mapping API

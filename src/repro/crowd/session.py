@@ -141,7 +141,11 @@ class CrowdSession(SessionCore):
     pool:
         The simulated worker pool answering questions.
     k:
-        Questions dispatched per round (the batching lever).
+        Questions dispatched per round (the batching lever).  A round
+        skips conflict partners of already-picked questions, backfilling
+        from them only if fewer than ``k`` diverse candidates exist:
+        same-violation candidates carry heavily overlapping information,
+        so a diversified batch loses far less to within-round staleness.
     redundancy:
         Distinct workers per question (clamped to the pool size).
     criterion:
@@ -157,11 +161,6 @@ class CrowdSession(SessionCore):
         ``"disapprove"`` (default — crowds *will* err) repairs approvals
         that contradict Γ by minority-side retraction; ``"raise"``
         propagates :class:`~repro.core.instances.InconsistentFeedbackError`.
-    diversify:
-        Skip conflict partners of already-picked questions when filling a
-        round (backfilling if fewer than ``k`` diverse candidates exist).
-        Same-violation candidates carry heavily overlapping information, so
-        a diversified batch loses far less to within-round staleness.
     faults:
         Optional :class:`~repro.durability.faults.FaultPlan` injected into
         dispatch: per-attempt timeouts (retried with exponential backoff
@@ -188,7 +187,6 @@ class CrowdSession(SessionCore):
         aggregator: Optional[Aggregator] = None,
         ledger: Optional[BudgetLedger] = None,
         on_conflict: str = "disapprove",
-        diversify: bool = True,
         faults=None,
         journal=None,
     ):
@@ -207,7 +205,6 @@ class CrowdSession(SessionCore):
         self.assignment = assignment or RoundRobinAssignment()
         self.aggregator = aggregator or MajorityVote()
         self.ledger = ledger or BudgetLedger()
-        self.diversify = diversify
         self.faults = faults
         self.stats = WorkerStats()
         self._assertion_order: dict[Correspondence, int] = {}
@@ -278,8 +275,6 @@ class CrowdSession(SessionCore):
         # Stable descending sort: equal scores keep ascending candidate
         # index, making batch selection deterministic.
         order = np.argsort(-scores, kind="stable")
-        if not self.diversify:
-            return [pnet.correspondences[int(columns[i])] for i in order[: self.k]]
         # Diversified top-k: two candidates joined by a compiled violation
         # carry heavily overlapping information (answering one collapses the
         # other), so a batch that takes both wastes a slot — gains are

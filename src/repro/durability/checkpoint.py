@@ -60,11 +60,7 @@ from ..core.reconciliation import (
     SessionCore,
 )
 from ..core.sampling import InstanceSampler, SampleStore
-from ..core.selection import (
-    STRATEGIES,
-    InformationGainSelection,
-    make_strategy,
-)
+from ..core.selection import STRATEGIES, make_strategy
 from ..crowd.assignment import ASSIGNMENTS, AssignmentPolicy
 from ..crowd.aggregation import make_aggregator
 from ..crowd.budget import BudgetLedger
@@ -197,9 +193,6 @@ def _pnet_to_dict(pnet: ProbabilisticNetwork) -> dict:
             "config": {
                 "target_samples": store.target_samples,
                 "min_samples": store.min_samples,
-                "walk_steps": store.walk_steps,
-                "restart_probability": store.restart_probability,
-                "max_shards": store.max_shards,
                 "enumerate_limit": store.enumerate_limit,
             },
             "approved": _corrs_to_list(state["approved"]),
@@ -231,20 +224,22 @@ def _pnet_to_dict(pnet: ProbabilisticNetwork) -> dict:
     }
 
 
-def _check_single_chain(config: dict, where: str) -> None:
-    """Refuse a multi-chain sampler document; absent or 1 restores.
+def _check_retired(document: dict, where: str, retired: dict) -> None:
+    """Refuse a document that sets a retired option to another value.
 
-    Older checkpoints carry a ``chains`` count (and sharded ones a
-    ``parallel`` worker count, which never changed results and is
-    ignored).  Only single-chain walks remain, so a document recorded
-    with several chains cannot continue its streams.
+    Older checkpoints record options that have since kept one value each
+    (``retired`` maps every such field to it): an absent field or that
+    value restores, and any other value would continue different streams
+    or selections, so it raises a :class:`FormatError` naming
+    ``<where>.<field>``.  Sharded documents may also carry a ``parallel``
+    worker count, which never changed results and is ignored.
     """
-    chains = config.get("chains", 1)
-    if chains != 1:
-        raise FormatError(
-            f"{where}.chains is {chains!r}: only single-chain sampler "
-            "checkpoints can be restored"
-        )
+    for field, only in retired.items():
+        value = document.get(field, only)
+        if value != only:
+            raise FormatError(
+                f"{where}.{field} is {value!r}: only {only!r} can be restored"
+            )
 
 
 def _sampler_state_from_json(state: dict) -> dict:
@@ -259,7 +254,18 @@ def _sampler_state_from_json(state: dict) -> dict:
 def _sharded_pnet_from_dict(document: dict, network) -> ProbabilisticNetwork:
     schemas = {schema.name: schema for schema in network.schemas}
     config = document["config"]
-    _check_single_chain(config, "pnet.config")
+    # Shard samplers walk with InstanceSampler's defaults, one shard per
+    # violation component.
+    _check_retired(
+        config,
+        "pnet.config",
+        {
+            "chains": 1,
+            "walk_steps": 5,
+            "restart_probability": 0.15,
+            "max_shards": None,
+        },
+    )
     state = {
         "approved": _corrs_from_list(document["approved"], schemas),
         "disapproved": _corrs_from_list(document["disapproved"], schemas),
@@ -278,9 +284,6 @@ def _sharded_pnet_from_dict(document: dict, network) -> ProbabilisticNetwork:
         state,
         target_samples=config["target_samples"],
         min_samples=config["min_samples"],
-        walk_steps=config["walk_steps"],
-        restart_probability=config["restart_probability"],
-        max_shards=config["max_shards"],
         enumerate_limit=config["enumerate_limit"],
     )
     return ProbabilisticNetwork(
@@ -296,7 +299,7 @@ def _pnet_from_dict(document: dict, network) -> ProbabilisticNetwork:
         raise FormatError(f"unknown estimator kind {kind!r}")
     schemas = {schema.name: schema for schema in network.schemas}
     sampler_doc = document["sampler"]
-    _check_single_chain(sampler_doc, "pnet.sampler")
+    _check_retired(sampler_doc, "pnet.sampler", {"chains": 1})
     sampler = InstanceSampler(
         network,
         walk_steps=sampler_doc["walk_steps"],
@@ -434,7 +437,6 @@ def _crowd_fields(session: CrowdSession) -> dict:
         "k": session.k,
         "redundancy": session.redundancy,
         "criterion": session.criterion,
-        "diversify": session.diversify,
         "assignment": {
             "name": session.assignment.name,
             "state": session.assignment.get_state(),
@@ -473,6 +475,7 @@ def _crowd_fields(session: CrowdSession) -> dict:
 
 
 def _crowd_session(document: dict, pnet: ProbabilisticNetwork) -> CrowdSession:
+    _check_retired(document, "checkpoint", {"diversify": True})
     schemas = {schema.name: schema for schema in pnet.network.schemas}
     pool_doc = document["pool"]
     truth = _truth_from_list(pool_doc["truth"])
@@ -506,7 +509,6 @@ def _crowd_session(document: dict, pnet: ProbabilisticNetwork) -> CrowdSession:
         aggregator=make_aggregator(document["aggregator"]["name"]),
         ledger=BudgetLedger.from_state(document["ledger"]),
         on_conflict=document["on_conflict"],
-        diversify=document["diversify"],
         faults=None if faults_doc is None else faultplan_from_dict(faults_doc),
     )
     session.stats.set_state(document["stats"])
@@ -554,7 +556,6 @@ def _expert_fields(session: ReconciliationSession) -> dict:
         "strategy": {
             "name": strategy.name,
             "rng": strategy.rng.getstate(),
-            "max_candidates": getattr(strategy, "max_candidates", None),
         },
         "oracle": oracle_doc,
         "trace": {
@@ -576,9 +577,8 @@ def _expert_session(
     document: dict, pnet: ProbabilisticNetwork
 ) -> ReconciliationSession:
     strategy_doc = document["strategy"]
+    _check_retired(strategy_doc, "strategy", {"max_candidates": None})
     strategy = make_strategy(strategy_doc["name"], random.Random())
-    if isinstance(strategy, InformationGainSelection):
-        strategy.max_candidates = strategy_doc.get("max_candidates")
     strategy.rng.setstate(_rng_from_json(strategy_doc["rng"]))
     oracle_doc = document["oracle"]
     truth = _truth_from_list(oracle_doc["truth"])

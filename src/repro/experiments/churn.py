@@ -120,7 +120,6 @@ def run(
     attributes_per_schema: int = 60,
     conflict_bias: float = 0.35,
     target_samples: int = 200,
-    max_shards: Optional[int] = None,
     seed: int = 7,
 ) -> ExperimentResult:
     """Delta application vs. from-scratch rebuild across churn fractions.
@@ -165,7 +164,6 @@ def run(
             network,
             rng=random.Random(seed),
             target_samples=target_samples,
-            max_shards=max_shards,
         )
         started = time.perf_counter()
         delta_result = network.apply_delta(delta)
@@ -182,7 +180,6 @@ def run(
             rebuilt_network,
             rng=random.Random(seed),
             target_samples=target_samples,
-            max_shards=max_shards,
         )
         rebuild_elapsed = time.perf_counter() - started
         result.add_row(

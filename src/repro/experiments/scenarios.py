@@ -30,9 +30,9 @@ from ..crowd import (
     BudgetLedger,
     CrowdSession,
     CrowdTrace,
+    ReliabilityAwareAssignment,
+    WeightedVote,
     WorkerPool,
-    make_aggregator,
-    make_assignment,
 )
 # The strategy registry lives beside the strategies; scenarios re-export it.
 from ..core.selection import STRATEGIES, make_strategy  # noqa: F401
@@ -40,6 +40,9 @@ from ..metrics import precision, recall
 from .harness import NetworkFixture
 
 T = TypeVar("T")
+
+#: Share of the schemas a ``churn_at`` delta removes and re-adds.
+CHURN_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -51,8 +54,10 @@ class ScenarioSpec:
     loop: ``strategy`` becomes the question-selection criterion, the
     ``crowd_*`` fields configure the pool (size and named reliability
     distribution), the round shape (``k`` questions × ``redundancy``
-    answers), the routing/aggregation policies and the money
-    (``crowd_cost`` per answer against the optional ``crowd_budget`` cap).
+    answers) and the money (``crowd_cost`` per answer against the optional
+    ``crowd_budget`` cap); questions route to the best-estimated workers
+    (:class:`~repro.crowd.ReliabilityAwareAssignment`) and votes aggregate
+    by reliability weight (:class:`~repro.crowd.WeightedVote`).
     """
 
     strategy: str = "information-gain"
@@ -81,8 +86,6 @@ class ScenarioSpec:
     crowd_cost: float = 1.0
     crowd_budget: Optional[float] = None
     crowd_rounds: Optional[int] = None
-    crowd_aggregator: str = "weighted"
-    crowd_assignment: str = "reliability"
     # Durability fields (repro.durability).
     #: Fault-injection plan wired into crowd dispatch; the session gets a
     #: :meth:`~repro.durability.faults.FaultPlan.clone` so one spec can be
@@ -96,21 +99,18 @@ class ScenarioSpec:
     checkpoint_every: int = 1
     # Sharding fields (repro.shard).
     #: Estimate probabilities with a component-sharded store
-    #: (:class:`~repro.shard.ShardedEstimator`) instead of the whole-network
-    #: sampled store.  Exact — the shard merge factorises over violation
+    #: (:class:`~repro.shard.ShardedEstimator`, one shard per
+    #: violation-graph component) instead of the whole-network sampled
+    #: store.  Exact — the shard merge factorises over violation
     #: components — so sessions over complete stores are bit-identical.
     sharded: bool = False
-    #: Cap the shard count (components are bin-packed); None = one shard
-    #: per violation-graph component.
-    max_shards: Optional[int] = None
     # Churn fields (repro.experiments.churn / repro.core.delta).
     #: Apply a schema-churn delta after this many expert steps; ``None``
-    #: (default) runs over a static network.
-    churn_at: Optional[int] = None
-    #: Fraction of schemas the mid-run delta removes and re-adds
+    #: (default) runs over a static network.  The delta removes and re-adds
+    #: ``CHURN_FRACTION`` of the schemas
     #: (:func:`~repro.experiments.churn.make_churn_delta`, seeded with
     #: ``Random(seed + 3)``).
-    churn_fraction: float = 0.1
+    churn_at: Optional[int] = None
     # Service fields (repro.service).
     #: Run the spec as a *fleet* of concurrent tenant sessions through
     #: :func:`run_service_scenario` instead of one offline session.
@@ -118,13 +118,10 @@ class ScenarioSpec:
     #: How many tenant sessions the service multiplexes; tenant *i* runs
     #: the same spec reseeded with ``seed + 100·i``.
     tenants: int = 4
-    #: Fairness policy: "round-robin" or "deficit" (weighted DRR).
+    #: Fairness policy: "round-robin" or "deficit" (weighted DRR).  Each
+    #: tenant queue holds the service's default 16 pending commands, and
+    #: a full queue suspends its submitter.
     service_policy: str = "round-robin"
-    #: Bound on each tenant's pending-command queue (backpressure).
-    service_max_pending: int = 16
-    #: Full-queue behaviour: "wait" suspends submitters, "reject" raises
-    #: :class:`~repro.service.scheduler.AdmissionError`.
-    service_admission: str = "wait"
 
     @property
     def label(self) -> str:
@@ -243,7 +240,6 @@ def _build_pnet(
                 fixture.network,
                 target_samples=spec.target_samples,
                 rng=random.Random(spec.seed),
-                max_shards=spec.max_shards,
                 catalog=catalog,
             ),
         )
@@ -285,10 +281,10 @@ def build_crowd_session(
         k=spec.crowd_k,
         redundancy=spec.crowd_redundancy,
         criterion=spec.strategy,
-        assignment=make_assignment(
-            spec.crowd_assignment, rng=random.Random(spec.seed + 1)
+        assignment=ReliabilityAwareAssignment(
+            rng=random.Random(spec.seed + 1)
         ),
-        aggregator=make_aggregator(spec.crowd_aggregator),
+        aggregator=WeightedVote(),
         ledger=BudgetLedger(
             cost_per_answer=spec.crowd_cost, budget=spec.crowd_budget
         ),
@@ -376,7 +372,7 @@ def run_scenario(fixture: NetworkFixture, spec: ScenarioSpec) -> ScenarioOutcome
                 break
         delta = make_churn_delta(
             session.pnet.network,
-            spec.churn_fraction,
+            CHURN_FRACTION,
             random.Random(spec.seed + 3),
         )
         session.apply_delta(delta)
@@ -498,7 +494,7 @@ def tenant_program(fixture: NetworkFixture, spec: ScenarioSpec) -> list[dict]:
 
         delta = make_churn_delta(
             fixture.network,
-            spec.churn_fraction,
+            CHURN_FRACTION,
             random.Random(spec.seed + 3),
         )
         program.insert(min(spec.churn_at, steps), {"op": "apply_delta",
@@ -525,11 +521,7 @@ def run_service_scenario(
     if spec.tenants < 1:
         raise ValueError("tenants must be positive")
     specs = tenant_specs(spec)
-    service = ReconciliationService(
-        policy=spec.service_policy,
-        max_pending=spec.service_max_pending,
-        admission=spec.service_admission,
-    )
+    service = ReconciliationService(policy=spec.service_policy)
     # One program for the whole fleet, built from the base seed: every
     # tenant runs the same command shapes, and a churn delta is the same
     # object fleet-wide (which is what lets the catalog share its

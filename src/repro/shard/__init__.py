@@ -5,8 +5,8 @@ components that share no constraints, so the instance space is a product
 space and every probabilistic quantity the reconciliation loop consumes
 factorises over the components.  This package exploits that:
 
-* :mod:`repro.shard.components` — component discovery and deterministic
-  shard planning (:func:`shard_plan`);
+* :mod:`repro.shard.components` — component discovery and the
+  deterministic one-shard-per-component plan (:func:`shard_plan`);
 * :mod:`repro.shard.store` — shard-local sample stores (exact
   enumeration for small shards, walk/wave sampling for large ones) and
   the exact boundary merge (:class:`ShardedSampleStore`);

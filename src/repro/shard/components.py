@@ -12,14 +12,12 @@ shard-local probability estimates *exact* rather than approximate — the
 differential suite in ``tests/test_shard_equivalence.py`` pins it.
 
 This module computes the components in the engine's int-bitmask index
-space and packs them into a deterministic :class:`ShardPlan`.
+space; each one is a shard of the deterministic :class:`ShardPlan`.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Optional
 
 from ..core.constraints import ConstraintEngine, mask_indices
 from ..core.network import MatchingNetwork
@@ -63,11 +61,11 @@ class ShardPlan:
     """A deterministic partition of the candidate index space.
 
     ``shards`` holds one tuple of ascending global engine indices per
-    shard — each shard is a union of whole violation-graph components, so
-    the product-space factorisation holds shard-by-shard.  ``free`` holds
-    the violation-free candidate indices: they participate in no
-    constraint, appear in every matching instance, and therefore need no
-    shard (their probability is exactly 1 unless disapproved).
+    violation-graph component, so the product-space factorisation holds
+    shard-by-shard.  ``free`` holds the violation-free candidate indices:
+    they participate in no constraint, appear in every matching instance,
+    and therefore need no shard (their probability is exactly 1 unless
+    disapproved).
     """
 
     shards: tuple[tuple[int, ...], ...]
@@ -82,55 +80,27 @@ class ShardPlan:
         return tuple(len(indices) for indices in self.shards)
 
 
-def shard_plan(
-    network: MatchingNetwork, max_shards: Optional[int] = None
-) -> ShardPlan:
-    """Plan the shard decomposition of ``network``.
-
-    With ``max_shards=None`` every violation-graph component becomes its
-    own shard — the finest exact decomposition.  A ``max_shards`` cap
-    packs components into at most that many shards with a deterministic
-    greedy bin-packing (largest component first into the currently
-    smallest shard; ties broken on smallest candidate index and lowest
-    shard slot), trading per-shard enumerability for fewer engines.
-    Either way every shard is a union of whole components, so exactness
-    is preserved.
-    """
-    if max_shards is not None and max_shards < 1:
-        raise ValueError("max_shards must be at least 1")
+def shard_plan(network: MatchingNetwork) -> ShardPlan:
+    """Plan the shard decomposition of ``network``: one shard per
+    violation-graph component, in component order — the finest exact
+    decomposition."""
     engine = network.engine
-    components = violation_components(engine)
-    free = tuple(mask_indices(engine.violation_free_mask))
-    if max_shards is None or len(components) <= max_shards:
-        groups = components
-    else:
-        # Largest-first greedy packing into a min-heap of (size, slot).
-        order = sorted(
-            components, key=lambda mask: (-mask.bit_count(), mask & -mask)
-        )
-        heap = [(0, slot) for slot in range(max_shards)]
-        heapq.heapify(heap)
-        bins = [0] * max_shards
-        for mask in order:
-            size, slot = heapq.heappop(heap)
-            bins[slot] |= mask
-            heapq.heappush(heap, (size + mask.bit_count(), slot))
-        groups = [mask for mask in bins if mask]
-        groups.sort(key=lambda mask: mask & -mask)
-    shards = tuple(tuple(mask_indices(mask)) for mask in groups)
-    return ShardPlan(shards=shards, free=free)
+    return ShardPlan(
+        shards=tuple(
+            tuple(mask_indices(mask)) for mask in violation_components(engine)
+        ),
+        free=tuple(mask_indices(engine.violation_free_mask)),
+    )
 
 
 def shard_plan_delta(
-    old_plan: ShardPlan,
-    result,
-    max_shards: Optional[int] = None,
+    old_plan: ShardPlan, result
 ) -> tuple[ShardPlan, dict[int, int]]:
     """Re-plan after a :class:`~repro.core.delta.DeltaResult` and say
     which shards carried over.
 
     Returns ``(plan, carried)`` where ``plan`` is exactly
-    ``shard_plan(result.network, max_shards)`` — the authoritative
+    ``shard_plan(result.network)`` — the authoritative
     decomposition that :meth:`ShardedSampleStore.from_state` will
     recompute on restore, so the delta path must agree with it bit for
     bit — and ``carried`` maps *new* shard position → *old* shard
@@ -149,7 +119,7 @@ def shard_plan_delta(
     therefore *identical*, and the store layer may keep its live
     engine + store + RNG objects verbatim.
     """
-    plan = shard_plan(result.network, max_shards)
+    plan = shard_plan(result.network)
     index_map = result.index_map
     carried_lookup: dict[tuple[int, ...], int] = {}
     for old_position, indices in enumerate(old_plan.shards):

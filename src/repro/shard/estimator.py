@@ -37,11 +37,8 @@ class ShardedEstimator(ProbabilityEstimator):
         self,
         network: MatchingNetwork,
         target_samples: int = 500,
-        walk_steps: int = 5,
         rng: Optional[random.Random] = None,
-        max_shards: Optional[int] = None,
         enumerate_limit: int = 4096,
-        restart_probability: float = 0.15,
         catalog=None,
     ):
         self.network = network
@@ -49,9 +46,6 @@ class ShardedEstimator(ProbabilityEstimator):
             network,
             rng=rng,
             target_samples=target_samples,
-            walk_steps=walk_steps,
-            restart_probability=restart_probability,
-            max_shards=max_shards,
             enumerate_limit=enumerate_limit,
             catalog=catalog,
         )

@@ -108,7 +108,7 @@ class EnumeratingSampleStore(SampleStore):
 
 
 class Shard:
-    """One shard: a component-closed slice of the candidate universe.
+    """One shard: one violation-graph component of the candidate universe.
 
     ``indices`` are the ascending global engine indices of the shard's
     candidates; ``columns`` is the same as an ``np.intp`` array for
@@ -176,9 +176,6 @@ class ShardedSampleStore:
         rng: Optional[random.Random] = None,
         target_samples: int = 500,
         min_samples: Optional[int] = None,
-        walk_steps: int = 5,
-        restart_probability: float = 0.15,
-        max_shards: Optional[int] = None,
         enumerate_limit: int = 4096,
         fill: bool = True,
         catalog=None,
@@ -191,16 +188,13 @@ class ShardedSampleStore:
         self.min_samples = (
             min_samples if min_samples is not None else target_samples // 2
         )
-        self.walk_steps = walk_steps
-        self.restart_probability = restart_probability
-        self.max_shards = max_shards
         self.enumerate_limit = enumerate_limit
         # An optional ShardCatalog of reusable compiles/fills, duck-typed
         # so the shard layer never imports the service layer.
         self.catalog = catalog
         self.feedback = Feedback()
         self.version = 0
-        self.plan: ShardPlan = shard_plan(network, max_shards=max_shards)
+        self.plan: ShardPlan = shard_plan(network)
         self._free = np.asarray(self.plan.free, dtype=np.intp)
         self._owner: dict[int, int] = {}
         for position, indices in enumerate(self.plan.shards):
@@ -244,12 +238,7 @@ class ShardedSampleStore:
             subnet = self.network.restricted_to(members)
         # The master rng ALWAYS draws the shard's seed here, catalog hit
         # or not — stream spawning is part of the deterministic contract.
-        sampler = InstanceSampler(
-            subnet,
-            walk_steps=self.walk_steps,
-            seed=self.rng.getrandbits(64),
-            restart_probability=self.restart_probability,
-        )
+        sampler = InstanceSampler(subnet, seed=self.rng.getrandbits(64))
         state = _empty_store_state(self.target_samples, self.min_samples)
         if self.feedback:
             member_set = set(members)
@@ -376,9 +365,7 @@ class ShardedSampleStore:
         if not result.structural:
             self.network = result.network
             return {position: position for position in range(len(self.shards))}
-        plan, carried = shard_plan_delta(
-            self.plan, result, max_shards=self.max_shards
-        )
+        plan, carried = shard_plan_delta(self.plan, result)
         removed = result.removed_correspondences
         old_shards = self.shards
         self.network = result.network
@@ -515,7 +502,7 @@ class ShardedSampleStore:
         """Persistent state: global feedback + per-shard store/sampler.
 
         The shard *plan* is recomputed on restore (it is a pure function
-        of the network and ``max_shards``); what must round-trip exactly
+        of the network); what must round-trip exactly
         is each shard's Ω* masks and its sampler state — both RNG streams,
         or the stream seed of a shard that never walked — plus the master
         stream that would seed any future shards.
@@ -541,11 +528,7 @@ class ShardedSampleStore:
         state: dict,
         target_samples: int = 500,
         min_samples: Optional[int] = None,
-        walk_steps: int = 5,
-        restart_probability: float = 0.15,
-        max_shards: Optional[int] = None,
         enumerate_limit: int = 4096,
-        catalog=None,
     ) -> "ShardedSampleStore":
         """Rebuild from :meth:`get_state` without consuming any RNG.
 
@@ -559,12 +542,8 @@ class ShardedSampleStore:
             rng=random.Random(),
             target_samples=target_samples,
             min_samples=min_samples,
-            walk_steps=walk_steps,
-            restart_probability=restart_probability,
-            max_shards=max_shards,
             enumerate_limit=enumerate_limit,
             fill=False,
-            catalog=catalog,
         )
         version, internal, gauss = state["rng"]
         store.rng.setstate((version, tuple(internal), gauss))
@@ -575,7 +554,7 @@ class ShardedSampleStore:
             raise ValueError(
                 f"checkpoint has {len(shard_states)} shards but the network "
                 f"plans {len(store.shards)} — was it saved for a different "
-                "network or max_shards?"
+                "network?"
             )
         for shard, shard_state in zip(store.shards, shard_states):
             sampler = shard.store.sampler

@@ -28,7 +28,12 @@ from repro.core.probability import ExactEstimator, ProbabilisticNetwork
 from repro.experiments.churn import make_churn_delta
 from repro.experiments.harness import synthetic_network
 from repro.io import FormatError, delta_from_dict, delta_to_dict
-from repro.shard import ShardedSampleStore, shard_plan, shard_plan_delta
+from repro.shard import (
+    ShardedSampleStore,
+    shard_plan,
+    shard_plan_delta,
+    violation_components,
+)
 
 
 def fresh_compile(result: DeltaResult) -> MatchingNetwork:
@@ -458,13 +463,6 @@ class TestShardPlanDelta:
             for index in old_plan.shards[old_position]:
                 assert index in result.index_map
 
-    def test_max_shards_respected(self):
-        network, result = self._network_and_delta()
-        old_plan = shard_plan(network, max_shards=3)
-        plan, _ = shard_plan_delta(old_plan, result, max_shards=3)
-        assert plan == shard_plan(result.network, max_shards=3)
-        assert plan.n_shards <= 3
-
 
 class TestShardedStoreDelta:
     def _store(self, network, seed=0, target=128):
@@ -497,6 +495,23 @@ class TestShardedStoreDelta:
             old_state, old_sampler = before[old_position]
             assert shard.store.get_state() == old_state
             assert shard.store.sampler.get_state() == old_sampler
+
+    def test_one_shard_per_component_after_delta(self):
+        network = synthetic_network(
+            80,
+            n_schemas=12,
+            attributes_per_schema=14,
+            conflict_bias=0.45,
+            seed=3,
+        )
+        delta = make_churn_delta(network, 0.2, random.Random(6))
+        store = self._store(network)
+        result = network.apply_delta(delta)
+        store.apply_delta(result)
+        components = violation_components(result.network.engine)
+        assert len(store.shards) == len(components) > 1
+        for shard, mask in zip(store.shards, components):
+            assert sum(1 << i for i in shard.indices) == mask
 
     def test_feedback_filtered_to_survivors(self):
         network = synthetic_network(

@@ -792,6 +792,67 @@ class TestShardedCheckpointRoundTrip:
         with pytest.raises(FormatError, match=f"pnet.{key}.chains"):
             restore_session(path)
 
+    @pytest.mark.parametrize(
+        "kind,section,field,kept,refused",
+        [
+            ("expert", ("pnet", "config"), "max_shards", None, 3),
+            ("expert", ("pnet", "config"), "walk_steps", 5, 8),
+            ("expert", ("pnet", "config"), "restart_probability", 0.15, 0.5),
+            ("expert", ("strategy",), "max_candidates", None, 6),
+            ("crowd", (), "diversify", True, False),
+        ],
+        ids=[
+            "max_shards",
+            "walk_steps",
+            "restart_probability",
+            "max_candidates",
+            "diversify",
+        ],
+    )
+    def test_retired_field_on_restore(
+        self, tmp_path, kind, section, field, kept, refused
+    ):
+        """Older documents carry options that have one value left.
+
+        A fresh document no longer writes the key.  An absent key and the
+        remaining value restore and continue bit-identically; any other
+        value is refused with a typed error naming the field.
+        """
+        if kind == "crowd":
+            spec = crowd_spec(sharded=True)
+            session = build_crowd_session(small_fixture(), spec)
+            session.round()
+            session.round()
+
+            def finish(run):
+                run.run()
+                return crowd_trace_tuple(run.trace)
+        else:
+            spec = self._sharded_spec("information-gain")
+            session = build_session(small_fixture(), spec)
+            session.run(budget=4)
+
+            def finish(run):
+                run.run(budget=10)
+                return run.trace
+        path = save_checkpoint(session, tmp_path / "c")
+        document = json.loads(path.read_text())
+        fields = document
+        for key in section:
+            fields = fields[key]
+        assert field not in fields
+        absent = restore_session(path)
+        fields[field] = kept
+        path.write_text(json.dumps(document))
+        restored_kept = restore_session(path)
+        expected = finish(session)
+        assert finish(absent) == expected
+        assert finish(restored_kept) == expected
+        fields[field] = refused
+        path.write_text(json.dumps(document))
+        with pytest.raises(FormatError, match=".".join((*section, field))):
+            restore_session(path)
+
     def test_shard_count_mismatch_rejected(self, tmp_path):
         session = build_session(small_fixture(), self._sharded_spec())
         session.run(budget=2)

@@ -14,6 +14,7 @@ from repro.core import (
     ProbabilisticNetwork,
     RandomSelection,
 )
+from repro.core.uncertainty import information_gain_array
 
 
 @pytest.fixture
@@ -82,11 +83,21 @@ class TestInformationGainSelection:
         pnet.record_assertion(c["c1"], approved=True)
         assert strategy.select(pnet) is None
 
-    def test_max_candidates_filter(self, movie_pnet):
-        strategy = InformationGainSelection(
-            rng=random.Random(1), max_candidates=2
+    def test_selects_a_maximal_gain_candidate(self, movie_pnet):
+        """Every uncertain candidate is a target: whatever the tie-break
+        draw, the pick has the largest gain among all of them."""
+        columns = movie_pnet.uncertain_indices()
+        gains = information_gain_array(
+            movie_pnet.estimator.membership_matrix(), columns
         )
-        assert strategy.select(movie_pnet) in movie_pnet.correspondences
+        best = {
+            movie_pnet.correspondences[int(i)]
+            for i in columns[gains == gains.max()]
+        }
+        assert len(columns) > len(best)
+        for seed in range(10):
+            strategy = InformationGainSelection(rng=random.Random(seed))
+            assert strategy.select(movie_pnet) in best
 
 
 class TestEntropySelection:

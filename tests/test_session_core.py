@@ -7,9 +7,8 @@ Two claims are pinned here:
   one argmax.  Test-local copies of the per-strategy ``select`` bodies the
   argmax replaced must make the same pick, and leave the strategy RNG in
   the same state, at every step of seeded sessions: perfect experts on
-  the reference synthetic network, noisy experts under
-  ``on_conflict="disapprove"``, and information gain with
-  ``max_candidates``.
+  the reference synthetic network, and noisy experts under
+  ``on_conflict="disapprove"``.
 * **One shell.**  Both sessions carry the ``kind`` the journal, the
   checkpoint codec, recovery and the service dispatch on, and one
   ``integrate_verdict`` repairs conflicting approvals for both.
@@ -24,7 +23,7 @@ import pytest
 
 from repro.core import ProbabilisticNetwork
 from repro.core.reconciliation import ReconciliationSession, SessionCore
-from repro.core.selection import InformationGainSelection, make_strategy
+from repro.core.selection import make_strategy
 from repro.core.uncertainty import binary_entropy_cached, information_gain_array
 from repro.crowd import CrowdSession
 from repro.durability import read_journal, run_durable
@@ -59,25 +58,17 @@ def _random_unasserted(pnet, rng):
     return pnet.correspondences[int(indices[rng.randrange(len(indices))])]
 
 
-def _information_gain_select(pnet, rng, max_candidates=None):
+def _information_gain_select(pnet, rng):
     columns = pnet.uncertain_indices()
     if len(columns) == 0:
         return _random_unasserted(pnet, rng)
-    membership_matrix = pnet.estimator.membership_matrix
-    if max_candidates is not None and len(columns) > max_candidates:
-        vector = pnet.probability_vector()
-        entropies = [binary_entropy_cached(p) for p in vector[columns].tolist()]
-        order = sorted(
-            range(len(columns)), key=entropies.__getitem__, reverse=True
-        )[:max_candidates]
-        columns = columns[order]
-    gains = information_gain_array(membership_matrix(), columns)
+    gains = information_gain_array(pnet.estimator.membership_matrix(), columns)
     best = np.flatnonzero(gains == gains.max())
     choice = best[rng.randrange(len(best))]
     return pnet.correspondences[int(columns[choice])]
 
 
-def _entropy_select(pnet, rng, max_candidates=None):
+def _entropy_select(pnet, rng):
     uncertain = pnet.uncertain_indices()
     if len(uncertain) == 0:
         return _random_unasserted(pnet, rng)
@@ -89,7 +80,7 @@ def _entropy_select(pnet, rng, max_candidates=None):
     return pnet.correspondences[int(uncertain[choice])]
 
 
-def _likelihood_select(pnet, rng, max_candidates=None):
+def _likelihood_select(pnet, rng):
     uncertain = pnet.uncertain_indices()
     if len(uncertain) == 0:
         return _random_unasserted(pnet, rng)
@@ -99,7 +90,7 @@ def _likelihood_select(pnet, rng, max_candidates=None):
     return pnet.correspondences[int(uncertain[choice])]
 
 
-def _confidence_select(pnet, rng, max_candidates=None):
+def _confidence_select(pnet, rng):
     uncertain = pnet.uncertain_correspondences()
     if not uncertain:
         return _random_unasserted(pnet, rng)
@@ -116,20 +107,16 @@ OLD_SELECT = {
     "confidence": _confidence_select,
 }
 
-#: (oracle, error rate, IG max_candidates) per session family.
+#: (oracle, error rate) per session family.
 FAMILIES = {
-    "perfect": ("perfect", 0.0, None),
-    "noisy-disapprove": ("noisy", 0.2, None),
-    "ig-max-candidates": ("perfect", 0.0, 6),
+    "perfect": ("perfect", 0.0),
+    "noisy-disapprove": ("noisy", 0.2),
 }
 
 
 def _family_cases():
-    for family, (_, _, max_candidates) in FAMILIES.items():
-        names = (
-            ("information-gain",) if max_candidates is not None else OLD_SELECT
-        )
-        for name in names:
+    for family in FAMILIES:
+        for name in OLD_SELECT:
             for seed in (0, 1, 2):
                 yield family, name, seed
 
@@ -137,7 +124,7 @@ def _family_cases():
 class TestScoredStrategyDrawCompatibility:
     @pytest.mark.parametrize("family,name,seed", list(_family_cases()))
     def test_same_pick_and_rng_state_every_step(self, family, name, seed):
-        oracle, error_rate, max_candidates = FAMILIES[family]
+        oracle, error_rate = FAMILIES[family]
         spec = ScenarioSpec(
             strategy=name,
             oracle=oracle,
@@ -148,14 +135,12 @@ class TestScoredStrategyDrawCompatibility:
         )
         session = build_session(reference_fixture(), spec)
         strategy = session.strategy
-        if max_candidates is not None:
-            strategy.max_candidates = max_candidates
         old_select = OLD_SELECT[name]
         shadow = random.Random()
         steps = 0
         while True:
             shadow.setstate(strategy.rng.getstate())
-            expected = old_select(session.pnet, shadow, max_candidates)
+            expected = old_select(session.pnet, shadow)
             record = session.step()
             if record is None:
                 assert expected is None
@@ -179,9 +164,6 @@ class TestScoredStrategyDrawCompatibility:
             columns, scores = make_strategy(name).scores(pnet)
             assert columns.tolist() == uncertain.tolist()
             assert scores.dtype == np.float64 and len(scores) == len(columns)
-        limited = InformationGainSelection(max_candidates=6)
-        columns, scores = limited.scores(pnet)
-        assert len(columns) == len(scores) == 6
 
     def test_random_selection_scores_nothing(self):
         with pytest.raises(NotImplementedError):

@@ -18,8 +18,8 @@ suite pins that claim from three directions:
   before and after random feedback, and factorised information gains
   with the gains of the ∏|Ω_s|-row product membership matrix;
 * structural tests pin the decomposition itself (partition, violation
-  closure, deterministic packing) and the process-pool fan-out's
-  bit-identity with the sequential fallback.
+  closure, exactly one shard per connected component) and the
+  process-pool fan-out's bit-identity with the sequential fallback.
 
 Both sides must hold *complete* instance sets for bit-identity (an
 incomplete walk store is a sampling approximation; the sharded side is
@@ -40,6 +40,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import enumerate_instances
+from repro.core.constraints import mask_indices
 from repro.core.probability import ProbabilisticNetwork, SampledEstimator
 from repro.core.reconciliation import ReconciliationSession
 from repro.core.selection import InformationGainSelection
@@ -254,30 +255,36 @@ class TestShardPlan:
             union |= component
         assert union == engine.conflicted_mask
 
-    def test_max_shards_packs_deterministically(self, fixture):
-        capped = shard_plan(fixture.network, max_shards=1)
-        assert capped.n_shards == 1
-        again = shard_plan(fixture.network, max_shards=1)
-        assert capped == again
-        with pytest.raises(ValueError):
-            shard_plan(fixture.network, max_shards=0)
+    def test_one_shard_per_component(self, fixture):
+        plan = shard_plan(fixture.network)
+        components = violation_components(fixture.network.engine)
+        assert plan.shards == tuple(
+            tuple(mask_indices(mask)) for mask in components
+        )
+        assert plan.sizes() == (16, 2)
+        assert shard_plan(fixture.network) == plan
 
-    def test_max_shards_preserves_exactness(self, fixture):
-        free_run = ShardedEstimator(
-            fixture.network,
-            target_samples=TARGET_SAMPLES,
-            rng=random.Random(0),
-        )
-        capped = ShardedEstimator(
-            fixture.network,
-            target_samples=TARGET_SAMPLES,
-            rng=random.Random(0),
-            max_shards=1,
-        )
-        assert np.array_equal(
-            free_run.store.probability_vector(),
-            capped.store.probability_vector(),
-        )
+    def test_components_cannot_be_split(self, fixture):
+        """Each component is one connected group of violations, so no
+        finer partition keeps every constraint inside one shard."""
+        engine = fixture.network.engine
+        for component in violation_components(engine):
+            inside = [
+                vmask
+                for vmask in engine.violation_masks
+                if vmask & component
+            ]
+            assert all(vmask & component == vmask for vmask in inside)
+            reached, pending = inside[0], inside[1:]
+            grew = True
+            while grew:
+                grew = False
+                for vmask in list(pending):
+                    if vmask & reached:
+                        reached |= vmask
+                        pending.remove(vmask)
+                        grew = True
+            assert reached == component and not pending
 
 
 class TestShardedStoreMechanics:
@@ -470,8 +477,7 @@ class TestFactorisedInformationGain:
     )
     def test_gains_equal_product_matrix_gains(self, data):
         """Scores over the shard factors are the product matrix's gains,
-        bit for bit, before and after random feedback — with and without
-        ``max_candidates`` reordering the targets."""
+        bit for bit, before and after random feedback."""
         network = _network_strategy(data.draw)
         estimator = ShardedEstimator(
             network,
@@ -481,9 +487,7 @@ class TestFactorisedInformationGain:
         store = estimator.store
         assume(math.prod(len(shard.store) for shard in store.shards) <= 4096)
         pnet = ProbabilisticNetwork(network, estimator=estimator)
-        strategy = InformationGainSelection(
-            max_candidates=data.draw(st.none() | st.integers(1, 6))
-        )
+        strategy = InformationGainSelection()
         for _ in range(data.draw(st.integers(1, 5))):
             columns, gains = strategy.scores(pnet)
             if not len(columns):
