@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI entrypoint: byte-compile the package, import/dead-store lint,
-# the fast test profile, the shard-parity, emission-parity, IG-parity and
-# chaos smokes, every experiment runner at its quick size, the perfbench
-# self-test, then the
+# the fast test profile, the shard-parity, emission-parity, IG-parity,
+# matcher-parity and chaos smokes, every experiment runner at its quick
+# size, the perfbench self-test, then the
 # src/repro/{core,crowd,analysis,durability,shard,service} line-coverage
 # floors (stdlib settrace tracer over the deterministic test files — the
 # container ships no coverage.py).
@@ -45,6 +45,12 @@ python -m pytest -q tests/test_wave_maximalize.py -k "Parity"
 python -m pytest -q \
     "tests/test_uncertainty.py::TestInformationGainParity::test_gains_equal_reference_reduction" \
     "tests/test_uncertainty.py::TestInformationGainParity::test_compact_factor_matches_full_matrix_over_session"
+# Matcher parity smoke: the bit-parallel Levenshtein and Jaro-Winkler
+# kernels must equal the scalar references bit for bit (empty, identical,
+# non-ASCII and astral names, lengths 63-65 across the one-word boundary
+# and its scalar fallback, batches of hundreds of pairs) — re-run
+# standalone so a kernel regression is named in the CI log.
+python -m pytest -q tests/test_string_metrics.py -k "WordKernelParity"
 # Durability: crash at every round boundary of a seeded crowd run, recover
 # from checkpoint + journal, require a bit-identical final trace.
 python scripts/chaos_smoke.py

@@ -25,8 +25,8 @@ network, estimator, ``on_conflict``, counters, initial uncertainty,
 journal position — and each kind's codec adds only its own fields.
 
 ``save_checkpoint`` writes atomically (temp file + ``os.replace``), and
-splices in the network's JSON text, which the network encodes once and
-caches (:attr:`~repro.core.network.MatchingNetwork.json_text`): only the
+splices in the network's and the ground truth's JSON texts, each encoded
+once (:attr:`~repro.core.network.MatchingNetwork.json_text`): only the
 rest of the document is encoded per checkpoint.  ``restore_session``
 rebuilds a live session that continues the *same* random streams — a
 restored run is bit-identical to one that never stopped, which is the
@@ -44,6 +44,7 @@ re-derives exactly the streams the shard would have built.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pathlib
@@ -79,6 +80,9 @@ from ..io import (
 from .faults import FaultPlan, RetryPolicy
 
 CHECKPOINT_KIND = "session-checkpoint"
+#: What :func:`save_checkpoint` encodes in the ground truth's place, to
+#: splice the truth's cached text there.
+_TRUTH_SLOT = "\0truth"
 
 
 def _json_default(value):
@@ -129,6 +133,12 @@ def _detached_corr(entry: dict) -> Correspondence:
 
 def _truth_from_list(entries) -> frozenset[Correspondence]:
     return frozenset(_detached_corr(entry) for entry in entries)
+
+
+@functools.lru_cache(maxsize=8)
+def _truth_json(truth: frozenset[Correspondence]) -> str:
+    """A ground truth's JSON text, encoded once: a truth never changes."""
+    return json.dumps(_corrs_to_list(truth), sort_keys=True)
 
 
 def _oracle_state_to_dict(oracle: NoisyOracle) -> dict:
@@ -426,7 +436,7 @@ def _crowd_round_from_dict(document: dict) -> CrowdRound:
     )
 
 
-def _crowd_fields(session: CrowdSession) -> dict:
+def _crowd_fields(session: CrowdSession, list_truth) -> dict:
     pool = session.pool
     truths = {worker.selective_matching for worker in pool}
     if len(truths) != 1:
@@ -452,7 +462,7 @@ def _crowd_fields(session: CrowdSession) -> dict:
             correspondence_to_dict(corr) for corr in session._requeued
         ],
         "pool": {
-            "truth": _corrs_to_list(next(iter(truths))),
+            "truth": list_truth(next(iter(truths))),
             "workers": [
                 {
                     "worker_id": worker.worker_id,
@@ -528,7 +538,7 @@ def _crowd_session(document: dict, pnet: ProbabilisticNetwork) -> CrowdSession:
 # ---------------------------------------------------------------------------
 
 
-def _expert_fields(session: ReconciliationSession) -> dict:
+def _expert_fields(session: ReconciliationSession, list_truth) -> dict:
     strategy = session.strategy
     if strategy.name not in STRATEGIES:
         raise FormatError(
@@ -538,14 +548,14 @@ def _expert_fields(session: ReconciliationSession) -> dict:
     if isinstance(oracle, NoisyOracle):
         oracle_doc = {
             "kind": "noisy",
-            "truth": _corrs_to_list(oracle.selective_matching),
+            "truth": list_truth(oracle.selective_matching),
             "error_rate": oracle.error_rate,
             "state": _oracle_state_to_dict(oracle),
         }
     elif type(oracle) is Oracle:
         oracle_doc = {
             "kind": "perfect",
-            "truth": _corrs_to_list(oracle.selective_matching),
+            "truth": list_truth(oracle.selective_matching),
             "assertions_made": oracle.assertions_made,
         }
     else:
@@ -623,17 +633,18 @@ _CODECS = {
 }
 
 
-def _checkpoint_body(session: SessionCore) -> dict:
+def _checkpoint_body(session: SessionCore, list_truth) -> dict:
     """The checkpoint document of a live session, all but its network.
 
     The fields both kinds share — the estimator state, the conflict
     policy and counters, the initial uncertainty and the journal position
-    — are written here; the kind's encoder adds the rest.
+    — are written here; the kind's encoder adds the rest, and writes
+    ``list_truth(truth)`` where the ground truth goes.
     """
     codec = _CODECS.get(getattr(session, "kind", None))
     if codec is None:
         raise TypeError(f"cannot checkpoint {type(session).__name__}")
-    document = codec[0](session)
+    document = codec[0](session, list_truth)
     document.update(
         kind=CHECKPOINT_KIND,
         version=FORMAT_VERSION,
@@ -649,9 +660,18 @@ def _checkpoint_body(session: SessionCore) -> dict:
     return document
 
 
+def _encode_body(session: SessionCore, list_truth) -> str:
+    # One ``dumps`` call runs json's C encoder; streaming ``dump`` runs
+    # the pure-Python one, several times slower on the same bytes.  The
+    # service runs commands on its event loop, so a checkpoint's encode
+    # time delays every tenant's next command.
+    document = _checkpoint_body(session, list_truth)
+    return json.dumps(document, sort_keys=True, default=_json_default)
+
+
 def checkpoint_to_dict(session: SessionCore) -> dict:
     """The checkpoint document of a live session, network included."""
-    document = _checkpoint_body(session)
+    document = _checkpoint_body(session, _corrs_to_list)
     document["network"] = network_to_dict(session.pnet.network)
     return document
 
@@ -682,16 +702,17 @@ def save_checkpoint(
     A crash mid-save therefore leaves either the previous checkpoint or the
     new one — never a torn file.  The file is ``{"network": ..., <the
     rest, sorted>}``: the network's cached JSON text spliced ahead of the
-    encoded body, so it parses to exactly :func:`checkpoint_to_dict`.
+    encoded body, and the ground truth's into its slot, so it parses to
+    exactly :func:`checkpoint_to_dict`.
     """
     path = pathlib.Path(path)
-    # One ``dumps`` call runs json's C encoder; streaming ``dump`` runs
-    # the pure-Python one, several times slower on the same bytes.  The
-    # service runs commands on its event loop, so a checkpoint's encode
-    # time delays every tenant's next command.
-    body = json.dumps(
-        _checkpoint_body(session), sort_keys=True, default=_json_default
-    )
+    truths = []  # the truth the codec hands the slot
+    body = _encode_body(session, lambda t: truths.append(t) or _TRUTH_SLOT)
+    pieces = body.split(json.dumps(_TRUTH_SLOT))
+    if len(pieces) == 2:
+        body = _truth_json(truths[0]).join(pieces)
+    else:  # another string spells the slot: list the truth in place
+        body = _encode_body(session, _corrs_to_list)
     text = '{"network": ' + session.pnet.network.json_text + ", " + body[1:]
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w") as handle:

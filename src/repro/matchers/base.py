@@ -206,7 +206,8 @@ class CachedMatcher(Matcher):
     the O(n²) schema pairs of a network); the batch path instead dedupes the
     name lists per side and delegates to :meth:`_name_similarity_matrix`,
     which vectorised subclasses override with a block kernel over unique
-    names.
+    names.  The prefix, LCS and Monge-Elkan kernels keep a string-pair cache
+    across calls; the word-parallel edit-distance and Jaro-Winkler ones none.
     """
 
     depends_on = ("name",)

@@ -188,10 +188,18 @@ class EnsembleMatcher(Matcher):
         left_attrs: Sequence[Attribute],
         right_attrs: Sequence[Attribute],
     ) -> np.ndarray:
-        """Aggregate the members' stacked score blocks as array ops."""
-        blocks = np.stack(
-            [m.similarity_matrix(left_attrs, right_attrs) for m in self.matchers]
-        )
+        """Aggregate the members' stacked score blocks as array ops.
+
+        Each member block goes straight into one preallocated stack (of the
+        dtype ``np.stack`` would give); no list of blocks is held beside it.
+        """
+        blocks = None
+        for k, member in enumerate(self.matchers):
+            block = np.asarray(member.similarity_matrix(left_attrs, right_attrs))
+            if blocks is None:
+                blocks = np.empty((len(self.matchers), *block.shape), block.dtype)
+            blocks = blocks.astype(np.result_type(blocks, block), copy=False)
+            blocks[k] = block
         weights = np.asarray(self.weights, dtype=np.float64)
         kernel = _BLOCK_AGGREGATIONS.get(self.aggregation)
         if kernel is not None:

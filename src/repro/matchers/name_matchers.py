@@ -10,7 +10,8 @@ once per distinct name regardless of how many pairs or edges reuse it.
 All matchers here implement both the scalar reference path
 (``_name_similarity``) and a vectorised block kernel
 (``_name_similarity_matrix``); property tests pin each matrix kernel to
-its scalar counterpart at 1e-9.
+its scalar counterpart (bit for bit for edit distance and Jaro-Winkler,
+at 1e-9 for the rest).
 """
 
 from __future__ import annotations
@@ -26,12 +27,6 @@ class EditDistanceMatcher(CachedMatcher):
 
     name = "edit-distance"
 
-    def __init__(self) -> None:
-        super().__init__()
-        # Norm-pair similarity cache shared across edges/calls: distinct
-        # names collapse to far fewer distinct normal-form pairs.
-        self._pair_cache: string_metrics.PairCache = {}
-
     def _name_similarity(self, left_name: str, right_name: str) -> float:
         return string_metrics.levenshtein_similarity(
             registry.profile(left_name).norm, registry.profile(right_name).norm
@@ -41,7 +36,6 @@ class EditDistanceMatcher(CachedMatcher):
         return string_metrics.levenshtein_similarity_matrix(
             [registry.profile(name).norm for name in left_names],
             [registry.profile(name).norm for name in right_names],
-            cache=self._pair_cache,
         )
 
 
@@ -49,10 +43,6 @@ class JaroWinklerMatcher(CachedMatcher):
     """Jaro-Winkler over normalised names; favours shared prefixes."""
 
     name = "jaro-winkler"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._pair_cache: string_metrics.PairCache = {}
 
     def _name_similarity(self, left_name: str, right_name: str) -> float:
         return string_metrics.jaro_winkler_similarity(
@@ -63,7 +53,6 @@ class JaroWinklerMatcher(CachedMatcher):
         return string_metrics.jaro_winkler_similarity_matrix(
             [registry.profile(name).norm for name in left_names],
             [registry.profile(name).norm for name in right_names],
-            cache=self._pair_cache,
         )
 
 

@@ -11,11 +11,13 @@ half of the module are the *reference* semantics; the ``*_matrix`` kernels
 in the second half compute whole similarity blocks at once — batched over
 the deduplicated unique-pair set with numpy (and scipy.sparse incidence
 products where available) — and are pinned to the scalar functions by
-property tests.  The batch kernels back :meth:`Matcher.similarity_matrix`.
+property tests: to 1e-9, and bit for bit for the bit-parallel Levenshtein
+and Jaro-Winkler kernels.  They back :meth:`Matcher.similarity_matrix`.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -234,10 +236,10 @@ def suffix_similarity(left: str, right: str) -> float:
 # Batch kernels: whole similarity blocks at once.
 #
 # Every kernel below reproduces its scalar counterpart exactly (same
-# formulas, same division order) so the matrix path can be pinned against
-# the scalar path to 1e-9.  String pairs are deduplicated before the heavy
-# kernels run: attribute names repeat across the O(n²) schema pairs of a
-# network, so the unique-pair set is far smaller than the naive pair count.
+# formulas, same division order).  String pairs are deduplicated before the
+# heavy kernels run: attribute names repeat across the O(n²) schema pairs
+# of a network, so the unique-pair set is far smaller than the naive pair
+# count.
 # ---------------------------------------------------------------------------
 
 
@@ -273,27 +275,27 @@ def _unique_pair_matrix(
 ) -> np.ndarray:
     """Evaluate a symmetric pairwise kernel over the deduplicated pair set.
 
-    ``kernel(codes, lengths, first, second)`` receives the pooled codepoint
-    matrix plus aligned index arrays (one entry per unique unordered pair)
-    and returns one value per pair; the result is broadcast back to the full
-    ``len(left) × len(right)`` block.  ``cache`` (string-pair → value, keys
-    lexicographically canonicalised) persists values across calls — names
-    repeat across the edges of a network, so later edges only pay for pairs
-    they introduce.
+    Each side is reduced to its distinct strings' pool ids (numbered left
+    side first, in order of appearance) before the unordered ``(low id,
+    high id)`` pairs are formed.  ``kernel(codes, lengths, first, second)``
+    receives the pooled codepoint matrix plus aligned index arrays (one
+    entry per unique pair) and returns one value per pair; the result is
+    gathered back to the full ``len(left) × len(right)`` block.  ``cache``
+    (string-pair → value, keys lexicographically canonicalised) persists
+    values across calls — names repeat across the edges of a network, so
+    later edges only pay for pairs they introduce.
     """
     n_left, n_right = len(left), len(right)
     if n_left == 0 or n_right == 0:
         return np.zeros((n_left, n_right), dtype=np.float64)
     pool: dict[str, int] = {}
-    for text in left:
-        pool.setdefault(text, len(pool))
-    for text in right:
-        pool.setdefault(text, len(pool))
+    left_ids = [pool.setdefault(text, len(pool)) for text in left]
+    right_ids = [pool.setdefault(text, len(pool)) for text in right]
     strings = list(pool)
-    left_ids = np.fromiter((pool[s] for s in left), count=n_left, dtype=np.int64)
-    right_ids = np.fromiter((pool[s] for s in right), count=n_right, dtype=np.int64)
-    low = np.minimum(left_ids[:, None], right_ids[None, :])
-    high = np.maximum(left_ids[:, None], right_ids[None, :])
+    left_unique, rows = np.unique(left_ids, return_inverse=True)
+    right_unique, cols = np.unique(right_ids, return_inverse=True)
+    low = np.minimum(left_unique[:, None], right_unique[None, :])
+    high = np.maximum(left_unique[:, None], right_unique[None, :])
     keys = (low * len(strings) + high).ravel()
     unique_keys, inverse = np.unique(keys, return_inverse=True)
     first, second = np.divmod(unique_keys, len(strings))
@@ -322,7 +324,8 @@ def _unique_pair_matrix(
             values[miss] = computed
             for pos, idx in enumerate(missing):
                 cache[pair_keys[idx]] = float(computed[pos])
-    return values[inverse].reshape(n_left, n_right)
+    block = values[inverse].reshape(len(left_unique), len(right_unique))
+    return block[np.ix_(rows, cols)]
 
 
 def _chunked_pairs(
@@ -334,10 +337,11 @@ def _chunked_pairs(
 ) -> np.ndarray:
     """Run a pair kernel in bounded chunks along the pair axis.
 
-    The deduplicated pair set grows ~U²/2 in the number of unique names, so
-    the per-pair work arrays (DP rows, match bitmaps) are capped at ~4M
-    cells per chunk regardless of corpus size.  Chunking also re-trims the
-    kernel's width to each chunk's longest string.
+    The prefix and LCS kernels hold (pairs × positions) work arrays (DP
+    rows, agreement matrices), and the deduplicated pair set grows ~U²/2 in
+    the number of unique names, so those arrays are capped at ~4M cells per
+    chunk regardless of corpus size.  Chunking also re-trims the kernel's
+    width to each chunk's longest string.
     """
     count = len(first)
     chunk = max(1, int(4_000_000 // max(1, codes.shape[1])))
@@ -352,6 +356,33 @@ def _chunked_pairs(
     return out
 
 
+#: ``_LOW_BITS[k]`` has the low ``k`` bits of a word set (k = 0..64).
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
+
+
+def _match_masks(
+    codes: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Dense symbols, and one uint64 match mask per pooled string and symbol.
+
+    ``symbols[k]`` numbers position k's codepoint of every pooled string;
+    bit k of ``masks[i * n_symbols + s]`` is set iff position k < 64 of
+    string i holds symbol s (Myers' ``Peq`` table; pads set no bit).
+    """
+    alphabet, inverse = np.unique(codes.ravel(), return_inverse=True)
+    symbols = inverse.reshape(codes.shape)
+    masks = np.zeros((len(codes), len(alphabet)), dtype=np.uint64)
+    for k in range(min(codes.shape[1], 64)):
+        live = np.flatnonzero(lengths > k)
+        masks[live, symbols[live, k]] |= np.uint64(1 << k)
+    return np.ascontiguousarray(symbols.T), masks.ravel(), len(alphabet)
+
+
+def _decode(codes: np.ndarray, lengths: np.ndarray, index: int) -> str:
+    """Pooled string ``index``, decoded back from the codepoint matrix."""
+    return "".join(map(chr, codes[index, : lengths[index]].tolist()))
+
+
 def _levenshtein_pairs(
     codes: np.ndarray,
     lengths: np.ndarray,
@@ -360,59 +391,54 @@ def _levenshtein_pairs(
 ) -> np.ndarray:
     """Levenshtein *similarity* for index-aligned pairs of pooled strings.
 
-    DP-vectorised over the batch: the classic row recurrence has a
-    sequential dependency along the inner dimension (insertions); it is
-    resolved with the min-plus prefix-scan trick —
-    ``cur[j] = j + min_accumulate(cand[k] - k)`` — so each DP row is one
-    vectorised sweep over all pairs at once.
+    Myers' bit-vector edit distance in Hyyrö's form (Myers, JACM 1999;
+    Hyyrö, Nordic J. Computing 2003), vectorised over the pairs: the
+    shorter string of each pair is the pattern, its column of vertical
+    deltas lives in two uint64 words, and one sweep over the longer
+    string's positions advances every pair by a handful of word
+    operations.  Distances are integers, so the values are bit-identical
+    to :func:`levenshtein_similarity`; a pair whose shorter string exceeds
+    64 code points takes that scalar reference.
     """
     count = len(first)
-    if count == 0:
-        return np.zeros(0, dtype=np.float64)
+    symbols, masks, n_symbols = _match_masks(codes, lengths)
     len_a, len_b = lengths[first], lengths[second]
-    width_a = int(len_a.max())
-    width_b = int(len_b.max())
-    codes_a = codes[first, :width_a]
-    codes_b = codes[second, :width_b]
-    distances = np.zeros(count, dtype=np.int64)
-    distances[len_a == 0] = len_b[len_a == 0]
-    col = np.arange(width_b + 1, dtype=np.int64)
-    previous = np.broadcast_to(col, (count, width_b + 1)).copy()
-    current = np.empty_like(previous)
-    for i in range(1, width_a + 1):
-        cost = codes_a[:, i - 1][:, None] != codes_b
-        current[:, 0] = i
-        np.minimum(
-            previous[:, 1:] + 1, previous[:, :-1] + cost, out=current[:, 1:]
-        )
-        current -= col
-        np.minimum.accumulate(current, axis=1, out=current)
-        current += col
-        done = len_a == i
-        if done.any():
-            distances[done] = current[done, len_b[done]]
-        previous, current = current, previous
-    longest = np.maximum(len_a, len_b).astype(np.float64)
-    similarity = np.ones(count, dtype=np.float64)
-    nonempty = longest > 0
-    similarity[nonempty] = 1.0 - distances[nonempty] / longest[nonempty]
+    swap = len_a > len_b
+    rows = np.where(swap, second, first) * n_symbols
+    text = np.where(swap, first, second)
+    len_p = np.minimum(len_a, len_b)
+    len_t = np.maximum(len_a, len_b)
+    # The pattern's last row, where the distance is read off (the empty
+    # and the over-64 patterns are settled below).
+    last = _LOW_BITS[np.clip(len_p, 1, 64)] ^ _LOW_BITS[np.clip(len_p, 1, 64) - 1]
+    vp = np.full(count, _LOW_BITS[64])
+    vn = np.zeros(count, dtype=np.uint64)
+    distances = len_p.copy()
+    for j in range(int(len_t.max(initial=0))):
+        eq = np.take(masks, rows + np.take(symbols[j], text))
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        live = len_t > j
+        distances += ((hp & last) != 0) & live
+        distances -= ((hn & last) != 0) & live
+        hp = (hp << 1) | 1
+        hn <<= 1
+        vp = hn | ~(d0 | hp)
+        vn = hp & d0
+    distances[len_p == 0] = len_t[len_p == 0]
+    similarity = 1.0 - distances / np.maximum(len_t, 1)  # two empties: 1.0
+    for p in np.flatnonzero(len_p > 64).tolist():
+        a, b = _decode(codes, lengths, first[p]), _decode(codes, lengths, second[p])
+        similarity[p] = levenshtein_similarity(a, b)
     return similarity
 
 
 def levenshtein_similarity_matrix(
-    left: Sequence[str],
-    right: Sequence[str],
-    cache: PairCache | None = None,
+    left: Sequence[str], right: Sequence[str]
 ) -> np.ndarray:
     """Batch :func:`levenshtein_similarity` over all left × right pairs."""
-    return _unique_pair_matrix(
-        left,
-        right,
-        lambda codes, lengths, first, second: _chunked_pairs(
-            _levenshtein_pairs, codes, lengths, first, second
-        ),
-        cache,
-    )
+    return _unique_pair_matrix(left, right, _levenshtein_pairs)
 
 
 def _jaro_winkler_pairs(
@@ -425,80 +451,57 @@ def _jaro_winkler_pairs(
 ) -> np.ndarray:
     """Jaro-Winkler for index-aligned pairs of pooled strings.
 
-    The greedy match phase loops over left positions (bounded by the longest
-    string) updating all pairs' match bitmaps at once — an exact replication
-    of the scalar greedy scan, including first-eligible tie resolution.
+    The greedy match phase runs on match masks, vectorised over the pairs:
+    a-position i takes the lowest set bit of ``Peq_b[a_i] & window_i &
+    ~matched_b``, which is the scalar scan's first eligible b-position.
+    Transpositions then pair the matched positions in order: each matched
+    a-position, in turn, pops the lowest remaining matched b-position.
+    The common prefix is read off the same masks (``a_i == b_i`` iff bit i
+    of ``Peq_b[a_i]`` is set).  Both sides keep a match mask, so a pair
+    with either string over 64 code points takes the scalar reference.
     """
     if not 0.0 <= prefix_weight <= 0.25:
         raise ValueError("prefix_weight must lie in [0, 0.25]")
     count = len(first)
-    if count == 0:
-        return np.zeros(0, dtype=np.float64)
+    symbols, masks, n_symbols = _match_masks(codes, lengths)
     len_a, len_b = lengths[first], lengths[second]
-    width_a = int(len_a.max())
-    width_b = int(len_b.max())
-    codes_a = codes[first, :width_a]
-    codes_b = codes[second, :width_b]
-    either_empty = (len_a == 0) | (len_b == 0)
-    both_empty = (len_a == 0) & (len_b == 0)
-    if width_a == 0 or width_b == 0:
-        return np.where(both_empty, 1.0, 0.0)
-
+    rows = second * n_symbols
     window = np.maximum(np.maximum(len_a, len_b) // 2 - 1, 0)
-    left_matched = np.zeros((count, width_a), dtype=bool)
-    right_matched = np.zeros((count, width_b), dtype=bool)
-    col = np.arange(width_b)
-    for i in range(width_a):
-        active = len_a > i
-        if not active.any():
-            break
-        start = i - window
-        end = np.minimum(i + window + 1, len_b)
-        eligible = (
-            (col[None, :] >= start[:, None])
-            & (col[None, :] < end[:, None])
-            & ~right_matched
-            & (codes_b == codes_a[:, i][:, None])
-            & active[:, None]
-        )
-        hit = eligible.any(axis=1)
-        first_hit = eligible.argmax(axis=1)
-        right_matched[hit, first_hit[hit]] = True
-        left_matched[hit, i] = True
-    matches = left_matched.sum(axis=1)
-
-    # Transpositions: compare the matched characters of both sides in
-    # positional order (stable sort floats matched positions to the front).
-    order_a = np.argsort(~left_matched, axis=1, kind="stable")
-    order_b = np.argsort(~right_matched, axis=1, kind="stable")
-    matched_a = np.take_along_axis(codes_a, order_a, axis=1)
-    matched_b = np.take_along_axis(codes_b, order_b, axis=1)
-    compare = min(width_a, width_b)
-    valid = np.arange(compare)[None, :] < matches[:, None]
-    transpositions = (
-        (matched_a[:, :compare] != matched_b[:, :compare]) & valid
-    ).sum(axis=1) // 2
+    matched_a, matched_b = np.zeros((2, count), dtype=np.uint64)
+    matches, prefix = np.zeros((2, count), dtype=np.int64)
+    agreed = np.ones(count, dtype=bool)
+    width = min(int(len_a.max(initial=0)), 64)
+    for i in range(width):
+        eq = np.take(masks, rows + np.take(symbols[i], first))
+        if i < max_prefix:
+            agreed &= ((eq >> i) & 1).astype(bool)
+            prefix += agreed
+        end = np.where(len_a > i, np.minimum(i + window + 1, len_b), 0)
+        span = _LOW_BITS[np.minimum(end, 64)] & ~_LOW_BITS[np.maximum(i - window, 0)]
+        free = eq & span & ~matched_b
+        low = free & (~free + 1)
+        matched_b |= low
+        matched_a |= (low != 0).astype(np.uint64) << i
+        matches += low != 0
+    transpositions = np.zeros(count, dtype=np.int64)
+    for i in range(width):
+        hit = ((matched_a >> i) & 1).astype(bool)
+        low = np.where(hit, matched_b & (~matched_b + 1), 0)
+        eq = np.take(masks, rows + np.take(symbols[i], first))
+        transpositions += hit & ((eq & low) == 0)
+        matched_b ^= low
+    transpositions //= 2
 
     m = matches.astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         jaro = (m / len_a + m / len_b + (m - transpositions) / m) / 3.0
     jaro = np.where(matches == 0, 0.0, jaro)
-    jaro[either_empty] = 0.0
-    jaro[both_empty] = 1.0
-
-    prefix_cap = min(max_prefix, width_a, width_b)
-    if prefix_cap > 0:
-        # Shared pad on both sides: bound the scan by the shorter length so
-        # pad-equals-pad positions never count as common prefix.
-        agreement = (codes_a[:, :prefix_cap] == codes_b[:, :prefix_cap]) & (
-            np.arange(prefix_cap)[None, :]
-            < np.minimum(len_a, len_b)[:, None]
-        )
-        prefix = np.logical_and.accumulate(agreement, axis=1).sum(axis=1)
-        prefix = np.minimum(prefix, max_prefix)
-    else:
-        prefix = np.zeros(count, dtype=np.int64)
-    return jaro + prefix * prefix_weight * (1.0 - jaro)
+    jaro[(len_a == 0) & (len_b == 0)] = 1.0
+    similarity = jaro + prefix * prefix_weight * (1.0 - jaro)
+    for p in np.flatnonzero(np.maximum(len_a, len_b) > 64).tolist():
+        a, b = _decode(codes, lengths, first[p]), _decode(codes, lengths, second[p])
+        similarity[p] = jaro_winkler_similarity(a, b, prefix_weight, max_prefix)
+    return similarity
 
 
 def jaro_winkler_similarity_matrix(
@@ -509,20 +512,10 @@ def jaro_winkler_similarity_matrix(
     cache: PairCache | None = None,
 ) -> np.ndarray:
     """Batch :func:`jaro_winkler_similarity` over all left × right pairs."""
-    return _unique_pair_matrix(
-        left,
-        right,
-        lambda codes, lengths, first, second: _chunked_pairs(
-            lambda c, l, f, s: _jaro_winkler_pairs(
-                c, l, f, s, prefix_weight, max_prefix
-            ),
-            codes,
-            lengths,
-            first,
-            second,
-        ),
-        cache,
+    kernel = functools.partial(
+        _jaro_winkler_pairs, prefix_weight=prefix_weight, max_prefix=max_prefix
     )
+    return _unique_pair_matrix(left, right, kernel, cache)
 
 
 def _incidence_product(
@@ -536,6 +529,9 @@ def _incidence_product(
     scipy is unavailable).  ``weight`` scales the *left* incidence rows, so
     the product is the weighted intersection; with ``weight=None`` it is the
     plain intersection size.  Feature iterables must be duplicate-free.
+    Each row's features are numbered and stored in sorted order, so a
+    weighted sum never depends on set iteration order (string hashing, and
+    so frozenset order, changes with ``PYTHONHASHSEED``).
     """
     vocabulary: dict = {}
 
@@ -544,7 +540,7 @@ def _incidence_product(
         indices: list[int] = []
         data: list[float] = []
         for features in rows:
-            for feature in features:
+            for feature in sorted(features):
                 indices.append(vocabulary.setdefault(feature, len(vocabulary)))
                 data.append(weight(feature) if weighted else 1.0)
             indptr.append(len(indices))
@@ -602,16 +598,16 @@ def weighted_jaccard_matrix(
     ``similarity = Σ_{t ∈ A∩B} w(t) / Σ_{t ∈ A∪B} w(t)``, computed as a
     weighted incidence product for the numerator and row-weight sums for the
     denominator.  Clipped to [0, 1] to absorb last-ulp drift of the float
-    summation orders.
+    summation orders.  Every sum runs over tokens in sorted order.
     """
     intersection = _incidence_product(left_sets, right_sets, weight=weight)
     weight_left = np.fromiter(
-        (sum(weight(t) for t in s) for s in left_sets),
+        (sum(weight(t) for t in sorted(s)) for s in left_sets),
         count=len(left_sets),
         dtype=np.float64,
     )
     weight_right = np.fromiter(
-        (sum(weight(t) for t in s) for s in right_sets),
+        (sum(weight(t) for t in sorted(s)) for s in right_sets),
         count=len(right_sets),
         dtype=np.float64,
     )

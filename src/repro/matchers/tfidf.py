@@ -91,11 +91,12 @@ class TfIdfTokenMatcher(CachedMatcher):
         union = left_tokens | right_tokens
         if not union:
             return 0.0
-        union_weight = sum(self.idf(t) for t in union)
+        # Sorted, so the sums do not depend on string hashing.
+        union_weight = sum(self.idf(t) for t in sorted(union))
         if union_weight == 0.0:
             return 0.0
-        intersection_weight = sum(self.idf(t) for t in left_tokens & right_tokens)
-        return intersection_weight / union_weight
+        shared = sorted(left_tokens & right_tokens)
+        return sum(self.idf(t) for t in shared) / union_weight
 
     def _name_similarity_matrix(
         self, left_names: Sequence[str], right_names: Sequence[str]

@@ -975,3 +975,46 @@ class TestSplicedCheckpointFile:
         self._assert_file_is_document(session, path)
         restored = restore_session(path)
         assert restored.pnet.network.confidence(corr) == 0.125
+
+    @pytest.mark.parametrize("kind", ["expert", "crowd"])
+    def test_truth_encoded_once(self, tmp_path, monkeypatch, kind):
+        """A session's ground truth never changes: its second save splices
+        the first save's encoding instead of listing the truth again."""
+        from repro.durability import checkpoint
+
+        if kind == "expert":
+            session = build_session(small_fixture(), expert_spec(strategy="likelihood"))
+            truth = session.oracle.selective_matching
+        else:
+            session = build_crowd_session(
+                small_fixture(), crowd_spec(strategy="likelihood")
+            )
+            truth = session.pool.workers[0].selective_matching
+        listed = []
+        real = checkpoint._corrs_to_list
+        monkeypatch.setattr(
+            checkpoint, "_corrs_to_list", lambda c: listed.append(c) or real(c)
+        )
+        checkpoint._truth_json.cache_clear()
+        first = save_checkpoint(session, tmp_path / "a").read_text()
+        assert sum(corrs is truth for corrs in listed) == 1
+        listed.clear()
+        second = save_checkpoint(session, tmp_path / "b").read_text()
+        assert not any(corrs is truth for corrs in listed)
+        assert second == first
+        assert json.loads(second) == json.loads(json.dumps(checkpoint_to_dict(session)))
+
+    def test_slot_spelled_by_a_string(self, tmp_path, monkeypatch):
+        """When another string of the body spells the truth's slot, the
+        splice has no single place to go: the truth is listed in place,
+        and the file's bytes do not change."""
+        from repro.durability import checkpoint
+
+        session = build_session(small_fixture(), expert_spec(strategy="likelihood"))
+        session.run(budget=3)
+        spliced = save_checkpoint(session, tmp_path / "a").read_bytes()
+        # "noisy" is also the oracle's kind, written ahead of its truth.
+        monkeypatch.setattr(checkpoint, "_TRUTH_SLOT", "noisy")
+        listed = save_checkpoint(session, tmp_path / "b")
+        assert listed.read_bytes() == spliced
+        self._assert_file_is_document(session, tmp_path / "c")

@@ -4,16 +4,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.matchers.string_metrics import (
     dice_similarity,
     jaccard_similarity,
     jaro_similarity,
     jaro_winkler_similarity,
+    jaro_winkler_similarity_matrix,
     lcs_similarity,
     lcs_similarity_matrix,
     levenshtein_distance,
     levenshtein_similarity,
+    levenshtein_similarity_matrix,
     longest_common_substring,
     monge_elkan_similarity,
     prefix_similarity,
@@ -208,3 +212,75 @@ class TestPrefixSuffix:
     def test_empty(self):
         assert prefix_similarity("", "") == 1.0
         assert prefix_similarity("", "a") == 0.0
+
+
+#: Word-kernel material: repeated letters (so matches, transpositions and
+#: edits interact), a Latin-1 letter, a BMP letter and an astral symbol.
+_WORD_ALPHABET = "abcab_xé語\U0001F600"
+
+
+def _word_kernel_reference(left, right):
+    """Scalar Levenshtein and Jaro-Winkler blocks over ``left × right``.
+
+    The scalar Jaro scan walks its first argument, so each pair is scored
+    in the kernel's orientation: pool ids number the distinct strings, left
+    side first, in order of appearance, and a pair is (low id, high id).
+    """
+    ids: dict[str, int] = {}
+    for text in [*left, *right]:
+        ids.setdefault(text, len(ids))
+    lev = [[levenshtein_similarity(a, b) for b in right] for a in left]
+    jw = [
+        [jaro_winkler_similarity(*sorted((a, b), key=ids.__getitem__)) for b in right]
+        for a in left
+    ]
+    return np.array(lev), np.array(jw)
+
+
+def _assert_word_kernels_exact(left, right):
+    lev, jw = _word_kernel_reference(left, right)
+    assert np.array_equal(levenshtein_similarity_matrix(left, right), lev)
+    assert np.array_equal(jaro_winkler_similarity_matrix(left, right), jw)
+
+
+class TestWordKernelParity:
+    """The bit-parallel Levenshtein and Jaro-Winkler kernels equal the
+    scalar references bit for bit (``np.array_equal``, not a tolerance)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.text(_WORD_ALPHABET, max_size=14), min_size=1, max_size=10),
+        st.lists(st.text(_WORD_ALPHABET, max_size=14), min_size=1, max_size=10),
+    )
+    def test_random_names(self, left, right):
+        _assert_word_kernels_exact(left, right)
+
+    def test_empty_and_identical_names(self):
+        names = ["", "a", "ab", "ba", "aa", "abc", "cab", "é", "\U0001F600"]
+        _assert_word_kernels_exact(names, names[::-1])
+        _assert_word_kernels_exact([""], [""])
+
+    def test_word_boundary_and_scalar_fallback(self):
+        """Lengths 63, 64 and 65 on either side: the last lengths one word
+        holds, and the first that takes the scalar reference."""
+        rng = random.Random(64)
+        base = "".join(rng.choice(_WORD_ALPHABET) for _ in range(66))
+        names = []
+        for length in (63, 64, 65):
+            names.append(base[:length])
+            edited = list(base[:length])
+            edited[3], edited[7] = edited[7], edited[3]
+            edited[length // 2] = "z"
+            names.append("".join(edited))
+        names += ["", "ab", base[:10], base[-20:]]
+        _assert_word_kernels_exact(names, names[::-1])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batches_of_many_pairs(self, seed):
+        """Hundreds of distinct pairs in one call (well past one word)."""
+        rng = random.Random(seed)
+        pool = [
+            "".join(rng.choice(_WORD_ALPHABET) for _ in range(rng.randint(0, 24)))
+            for _ in range(40)
+        ]
+        _assert_word_kernels_exact(pool[:28], pool[12:])
